@@ -5,13 +5,17 @@
 //! concrete processor sets, which `/v1/solve` pays per request when a
 //! client asks for `"placements": true` — and the hierarchical lowering
 //! of the same scale onto a 64 nodes × 2 sockets × 32 cores topology
-//! under each `PlacementPolicy` (the wire-format v3 `topology` path).
+//! under each `PlacementPolicy` (the wire-format v3 `topology` path),
+//! and certifying placed schedules of the paper's compact regime
+//! (`validate` at n = 2¹⁴ and 2¹⁶ on m = 2²⁰).
 //!
 //! All rows are tracked by the CI perf-regression gate
 //! (`ci/bench_gate.py` against `benches/baseline.json`); the gate's
 //! `--max-ratio` bars additionally hold every hierarchical row within
 //! 2x of the flat `place-flat` median (same schedule, same m = 4096
-//! machine) from the same run.
+//! machine) from the same run, and the n = 2¹⁶ validate row within 6x
+//! of the n = 2¹⁴ one: O(n log n) growth over 4x the jobs is about
+//! 4.4x, a quadratic validator about 16x.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use moldable_core::hierarchy::Topology;
@@ -22,6 +26,7 @@ use moldable_core::view::JobView;
 use moldable_sched::place::{place_contiguous, place_with};
 use moldable_sched::policy::PlacementPolicy;
 use moldable_sched::solver::solver_by_name;
+use moldable_sched::validate::validate;
 use moldable_workloads::{bench_instance, BenchFamily};
 use std::collections::VecDeque;
 
@@ -123,6 +128,21 @@ fn bench_placement(c: &mut Criterion) {
                 assert_eq!(placement.jobs.len(), n);
                 placement
             })
+        });
+    }
+
+    // Certifying a placed schedule: solve and lower outside the timer,
+    // time only `validate` (demand sweep, placement join, placement
+    // sweep). On these compact instances every job is running at once.
+    for n in [1usize << 14, 1 << 16] {
+        let inst = bench_instance(BenchFamily::Mixed, n, 1 << 20, 7);
+        let view = JobView::build(&inst);
+        let mut schedule = solver.solve(&view, view.m()).schedule;
+        let placement =
+            place_contiguous(&view, &schedule).expect("schedule is demand-feasible");
+        schedule.placement = Some(placement);
+        group.bench_function(BenchmarkId::new("validate-compact", n), |b| {
+            b.iter(|| validate(&schedule, &inst).expect("solver schedules validate"))
         });
     }
 

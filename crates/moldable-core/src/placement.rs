@@ -12,12 +12,24 @@
 //! conflicting processor sets (the same witness shape as the schedule
 //! validator's overcommit report).
 //!
+//! The sweep keeps the processors held at the current instant as an
+//! ordered map from each held range's low end to its high end. Held
+//! ranges are pairwise disjoint (the sweep stops at the first clash),
+//! so for a range `[lo, hi]` of a starting job the last held range
+//! starting at or below `hi` is the only one that can reach `lo`: a
+//! start costs one predecessor lookup and one insert per range of its
+//! set, an end one removal per range. For `n` jobs holding `R` ranges
+//! in total the sweep costs O(n log n + R log R), whatever the number
+//! of jobs running at once; the overlap witness is built only on the
+//! failing path.
+//!
 //! Consistency with a *schedule* (intervals and set sizes matching the
 //! assignments) is checked one crate up, where durations live.
 
 use crate::procset::ProcSet;
 use crate::ratio::Ratio;
 use crate::types::JobId;
+use std::collections::BTreeMap;
 
 /// One job's concrete placement: the processors it holds over
 /// `[start, end)`.
@@ -245,45 +257,63 @@ impl Placement {
                 });
             }
         }
-        // Sweep: +1 at starts, −1 at ends; maintain the occupied set and
-        // report the first instant a new job intersects it.
+        // Sweep over start and end events; see the module doc for the
+        // ordered map of held ranges.
         let mut events: Vec<(Ratio, i8, usize)> = Vec::with_capacity(self.jobs.len() * 2);
         for (i, p) in self.jobs.iter().enumerate() {
             events.push((p.start, 1, i));
             events.push((p.end, -1, i));
         }
         events.sort_by(|x, y| x.0.cmp(&y.0).then(x.1.cmp(&y.1)));
-        let mut occupied = ProcSet::new();
-        let mut active: Vec<usize> = Vec::new();
-        for (e, &(at, kind, idx)) in events.iter().enumerate() {
-            let p = &self.jobs[idx];
+        let mut held: BTreeMap<u64, u64> = BTreeMap::new();
+        for (e, &(_, kind, idx)) in events.iter().enumerate() {
+            let ranges = self.jobs[idx].procs.ranges();
             if kind < 0 {
-                occupied = occupied.subtract(&p.procs);
-                active.retain(|&a| a != idx);
+                for (lo, _) in ranges {
+                    held.remove(lo);
+                }
                 continue;
             }
-            if !occupied.is_disjoint(&p.procs) {
-                let until = events[e + 1..].iter().map(|&(t, _, _)| t).find(|t| *t > at);
-                let mut jobs: Vec<(JobId, ProcSet)> = active
-                    .iter()
-                    .map(|&a| &self.jobs[a])
-                    .filter(|q| !q.procs.is_disjoint(&p.procs))
-                    .map(|q| (q.job, q.procs.clone()))
-                    .collect();
-                jobs.push((p.job, p.procs.clone()));
-                jobs.sort_by_key(|(job, procs)| (std::cmp::Reverse(procs.size()), *job));
-                jobs.truncate(OVERLAP_WITNESSES);
-                return Err(PlacementError::Overlap(Box::new(PlacementOverlap {
-                    at,
-                    until,
-                    m,
-                    jobs,
-                })));
+            for &(lo, hi) in ranges {
+                let clash = held
+                    .range(..=hi)
+                    .next_back()
+                    .is_some_and(|(_, &held_hi)| held_hi >= lo);
+                if clash {
+                    return Err(self.overlap(&events, e, m));
+                }
+                held.insert(lo, hi);
             }
-            occupied = occupied.union(&p.procs);
-            active.push(idx);
         }
         Ok(())
+    }
+
+    /// The [`PlacementError::Overlap`] report for the start event
+    /// `events[e]`, which clashes with a job running before it: the jobs
+    /// whose start precedes `e` and whose end does not, kept in start
+    /// order and filtered to those sharing a processor with the new job,
+    /// then ranked widest first.
+    fn overlap(&self, events: &[(Ratio, i8, usize)], e: usize, m: u64) -> PlacementError {
+        let (at, _, idx) = events[e];
+        let p = &self.jobs[idx];
+        let until = events[e + 1..].iter().map(|&(t, _, _)| t).find(|t| *t > at);
+        let mut ended = vec![false; self.jobs.len()];
+        for &(_, kind, i) in &events[..e] {
+            if kind < 0 {
+                ended[i] = true;
+            }
+        }
+        let mut jobs: Vec<(JobId, ProcSet)> = events[..e]
+            .iter()
+            .filter(|&&(_, kind, i)| kind > 0 && !ended[i])
+            .map(|&(_, _, i)| &self.jobs[i])
+            .filter(|q| !q.procs.is_disjoint(&p.procs))
+            .map(|q| (q.job, q.procs.clone()))
+            .collect();
+        jobs.push((p.job, p.procs.clone()));
+        jobs.sort_by_key(|(job, procs)| (std::cmp::Reverse(procs.size()), *job));
+        jobs.truncate(OVERLAP_WITNESSES);
+        PlacementError::Overlap(Box::new(PlacementOverlap { at, until, m, jobs }))
     }
 }
 
@@ -329,6 +359,71 @@ mod tests {
             }
             other => panic!("expected overlap, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn clash_on_the_second_range_of_a_fragmented_set() {
+        // Job 1's first range is free; its second hits job 0's set.
+        let pl = Placement {
+            jobs: vec![
+                placed(0, 0, 4, 6, 7),
+                PlacedJob {
+                    job: 1,
+                    start: Ratio::from(1u64),
+                    end: Ratio::from(3u64),
+                    procs: ProcSet::from_ranges([(0, 1), (5, 6)]),
+                },
+            ],
+        };
+        match pl.validate(8) {
+            Err(PlacementError::Overlap(report)) => {
+                assert_eq!(report.at, Ratio::from(1u64));
+                assert_eq!(report.until, Some(Ratio::from(3u64)));
+                assert_eq!(
+                    report.jobs,
+                    vec![
+                        (1, ProcSet::from_ranges([(0, 1), (5, 6)])),
+                        (0, ProcSet::range(6, 7)),
+                    ]
+                );
+            }
+            other => panic!("expected overlap, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn touching_ranges_do_not_clash() {
+        // `hi + 1 == lo` on both sides of job 1's range, and a
+        // fragmented set interleaved with both neighbours.
+        let pl = Placement {
+            jobs: vec![
+                placed(0, 0, 4, 0, 2),
+                placed(1, 0, 4, 3, 5),
+                placed(2, 1, 3, 6, 6),
+                PlacedJob {
+                    job: 3,
+                    start: Ratio::from(2u64),
+                    end: Ratio::from(6u64),
+                    procs: ProcSet::from_ranges([(7, 7), (9, 9)]),
+                },
+                placed(4, 2, 5, 8, 8),
+            ],
+        };
+        assert_eq!(pl.validate(10), Ok(()));
+    }
+
+    #[test]
+    fn ends_sort_before_starts_whatever_the_row_order() {
+        // The job starting at 4 is listed before the one ending at 4 on
+        // the same processors, and a third reuses them at 6.
+        let pl = Placement {
+            jobs: vec![
+                placed(1, 4, 6, 0, 3),
+                placed(0, 0, 4, 0, 3),
+                placed(2, 6, 7, 2, 5),
+            ],
+        };
+        assert_eq!(pl.validate(6), Ok(()));
     }
 
     #[test]

@@ -120,9 +120,26 @@ impl ProcSet {
         self.ranges.last().map(|&(_, hi)| hi)
     }
 
-    /// Set union.
+    /// Set union: one merge walk over both range lists, coalescing
+    /// overlapping and adjacent ranges as they are emitted.
     pub fn union(&self, other: &ProcSet) -> ProcSet {
-        ProcSet::from_ranges(self.ranges.iter().chain(other.ranges.iter()).copied())
+        let (a, b) = (&self.ranges, &other.ranges);
+        let (mut i, mut j) = (0usize, 0usize);
+        let mut out: Vec<(u64, u64)> = Vec::with_capacity(a.len() + b.len());
+        while i < a.len() || j < b.len() {
+            let next = if j == b.len() || (i < a.len() && a[i].0 <= b[j].0) {
+                i += 1;
+                a[i - 1]
+            } else {
+                j += 1;
+                b[j - 1]
+            };
+            match out.last_mut() {
+                Some(last) if next.0 <= last.1.saturating_add(1) => last.1 = last.1.max(next.1),
+                _ => out.push(next),
+            }
+        }
+        ProcSet { ranges: out }
     }
 
     /// Set intersection.
@@ -180,9 +197,22 @@ impl ProcSet {
         other.subtract(self).is_empty()
     }
 
-    /// Are the two sets disjoint?
+    /// Are the two sets disjoint? An allocation-free merge walk that
+    /// stops at the first common processor.
     pub fn is_disjoint(&self, other: &ProcSet) -> bool {
-        self.intersect(other).is_empty()
+        let (a, b) = (&self.ranges, &other.ranges);
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < a.len() && j < b.len() {
+            if a[i].0.max(b[j].0) <= a[i].1.min(b[j].1) {
+                return false;
+            }
+            if a[i].1 <= b[j].1 {
+                i += 1;
+            } else {
+                j += 1;
+            }
+        }
+        true
     }
 
     /// Lowest start of a contiguous run of `width` processors fully

@@ -111,11 +111,13 @@ impl std::fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
-/// Validate feasibility of `schedule` for `inst` (conditions 1–3).
+/// Validate feasibility of `schedule` for `inst` (conditions 1–4).
 pub fn validate(schedule: &Schedule, inst: &Instance) -> Result<(), ScheduleError> {
-    // 1. multiplicities
+    // 1. multiplicities; once they pass, `slot[j]` is the index of job
+    //    j's only assignment.
     let mut seen = vec![0usize; inst.n()];
-    for a in &schedule.assignments {
+    let mut slot = vec![0usize; inst.n()];
+    for (i, a) in schedule.assignments.iter().enumerate() {
         let idx = a.job as usize;
         if idx >= inst.n() {
             return Err(ScheduleError::WrongJobMultiplicity {
@@ -124,6 +126,7 @@ pub fn validate(schedule: &Schedule, inst: &Instance) -> Result<(), ScheduleErro
             });
         }
         seen[idx] += 1;
+        slot[idx] = i;
     }
     for (j, &count) in seen.iter().enumerate() {
         if count != 1 {
@@ -143,11 +146,16 @@ pub fn validate(schedule: &Schedule, inst: &Instance) -> Result<(), ScheduleErro
             });
         }
     }
-    // 3. demand sweep over start/end events.
+    // 3. demand sweep over start/end events. Each assignment's end is
+    //    computed once here and reused by the witness and the placement
+    //    join.
+    let ends: Vec<Ratio> = schedule
+        .assignments
+        .iter()
+        .map(|a| a.start.add(&Ratio::from(inst.job(a.job).time(a.procs))))
+        .collect();
     let mut events: Vec<(Ratio, i64, u64)> = Vec::with_capacity(schedule.len() * 2);
-    for a in &schedule.assignments {
-        let dur = inst.job(a.job).time(a.procs);
-        let end = a.start.add(&Ratio::from(dur));
+    for (a, &end) in schedule.assignments.iter().zip(&ends) {
         events.push((a.start, 1, a.procs));
         events.push((end, -1, a.procs));
     }
@@ -160,6 +168,7 @@ pub fn validate(schedule: &Schedule, inst: &Instance) -> Result<(), ScheduleErro
             return Err(overcommit_witness(
                 inst,
                 schedule,
+                &ends,
                 at,
                 events[i + 1..].iter().map(|&(t, _, _)| t).find(|t| *t > at),
                 demand as u128,
@@ -168,7 +177,7 @@ pub fn validate(schedule: &Schedule, inst: &Instance) -> Result<(), ScheduleErro
     }
     // 4. placement layer, when present.
     if let Some(placement) = &schedule.placement {
-        validate_placement(placement, schedule, inst)
+        validate_placement(placement, schedule, &slot, &ends, inst.m())
             .map_err(|e| ScheduleError::Placement(Box::new(e)))?;
     }
     Ok(())
@@ -178,24 +187,25 @@ pub fn validate(schedule: &Schedule, inst: &Instance) -> Result<(), ScheduleErro
 /// one row per assignment, each with the assignment's interval and a
 /// processor set of exactly its allotment — then the machine-level
 /// invariants (ranges inside `0..m`, no double-booking) via
-/// [`moldable_core::placement::Placement::validate`].
+/// [`moldable_core::placement::Placement::validate`]. `slot[j]` indexes
+/// job j's assignment and `ends[i]` is assignment i's end.
 fn validate_placement(
     placement: &moldable_core::placement::Placement,
     schedule: &Schedule,
-    inst: &Instance,
+    slot: &[usize],
+    ends: &[Ratio],
+    m: u64,
 ) -> Result<(), PlacementError> {
-    // Multiplicity already passed, so `job` is a unique key here.
-    let mut matched = vec![false; inst.n()];
+    let mut matched = vec![false; slot.len()];
     for p in &placement.jobs {
-        let Some(a) = schedule
-            .assignments
-            .iter()
-            .find(|a| a.job == p.job && !matched[a.job as usize])
-        else {
+        // A job outside the instance, or one already matched, has no
+        // assignment left for this row.
+        let j = p.job as usize;
+        if matched.get(j) != Some(&false) {
             return Err(PlacementError::UnknownJob { job: p.job });
-        };
-        matched[a.job as usize] = true;
-        let expected_end = a.start.add(&Ratio::from(inst.job(a.job).time(a.procs)));
+        }
+        matched[j] = true;
+        let (a, expected_end) = (&schedule.assignments[slot[j]], ends[slot[j]]);
         if p.start != a.start || p.end != expected_end {
             return Err(PlacementError::IntervalMismatch(Box::new(
                 moldable_core::placement::PlacementIntervalMismatch {
@@ -218,7 +228,7 @@ fn validate_placement(
     if let Some(job) = matched.iter().position(|&done| !done) {
         return Err(PlacementError::MissingJob { job: job as u32 });
     }
-    placement.validate(inst.m())
+    placement.validate(m)
 }
 
 /// Number of active assignments reported in
@@ -226,10 +236,12 @@ fn validate_placement(
 pub const OVERCOMMIT_WITNESSES: usize = 8;
 
 /// Build the enriched overcommit report: the violating interval plus the
-/// widest assignments running through it.
+/// widest assignments running through it (`ends[i]` is assignment i's
+/// end).
 fn overcommit_witness(
     inst: &Instance,
     schedule: &Schedule,
+    ends: &[Ratio],
     at: Ratio,
     until: Option<Ratio>,
     demand: u128,
@@ -237,11 +249,9 @@ fn overcommit_witness(
     let mut active: Vec<(u32, u64)> = schedule
         .assignments
         .iter()
-        .filter(|a| {
-            let end = a.start.add(&Ratio::from(inst.job(a.job).time(a.procs)));
-            a.start <= at && at < end
-        })
-        .map(|a| (a.job, a.procs))
+        .zip(ends)
+        .filter(|(a, end)| a.start <= at && at < **end)
+        .map(|(a, _)| (a.job, a.procs))
         .collect();
     active.sort_by_key(|&(job, procs)| (std::cmp::Reverse(procs), job));
     active.truncate(OVERCOMMIT_WITNESSES);
@@ -430,6 +440,40 @@ mod tests {
         assert!(matches!(
             validate(&s, &inst),
             Err(ScheduleError::Placement(e)) if matches!(*e, PlacementError::UnknownJob { job: 7 })
+        ));
+    }
+
+    #[test]
+    fn out_of_instance_and_duplicated_rows_are_unknown() {
+        use moldable_core::placement::{Placement, PlacementError};
+        use moldable_core::procset::ProcSet;
+        let inst = inst2();
+        let mut s = Schedule::new();
+        s.push(0, Ratio::zero(), 1);
+        s.push(1, Ratio::zero(), 1);
+        let mut good = Placement::new();
+        good.push(0, Ratio::zero(), Ratio::from(4u64), ProcSet::range(0, 0));
+        good.push(1, Ratio::zero(), Ratio::from(4u64), ProcSet::range(1, 1));
+        // A job id at or past n (up to the largest id) is unknown, not
+        // an index out of bounds.
+        for job in [2, u32::MAX] {
+            let mut far = good.clone();
+            far.jobs.insert(1, far.jobs[0].clone());
+            far.jobs[1].job = job;
+            s.placement = Some(far);
+            assert!(matches!(
+                validate(&s, &inst),
+                Err(ScheduleError::Placement(e)) if *e == PlacementError::UnknownJob { job }
+            ));
+        }
+        // A second row for an already matched job is unknown too, and
+        // is reported before the rows after it are looked at.
+        let mut twice = good;
+        twice.jobs.insert(1, twice.jobs[0].clone());
+        s.placement = Some(twice);
+        assert!(matches!(
+            validate(&s, &inst),
+            Err(ScheduleError::Placement(e)) if *e == PlacementError::UnknownJob { job: 0 }
         ));
     }
 

@@ -63,6 +63,7 @@ proptest! {
             ma.difference(&mb).copied().collect::<Vec<_>>()
         );
         prop_assert!(a.subtract(&b).is_disjoint(&b));
+        prop_assert_eq!(a.is_disjoint(&b), ma.is_disjoint(&mb));
         prop_assert_eq!(a.subtract(&b).union(&a.intersect(&b)), a.clone());
         prop_assert_eq!(a.union(&b), b.union(&a));
         prop_assert_eq!(a.intersect(&b), b.intersect(&a));
