@@ -31,9 +31,10 @@ Usage:
     CRITERION_JSON=/tmp/service.json cargo bench -p moldable-bench --bench service
     CRITERION_JSON=/tmp/placement.json cargo bench -p moldable-bench --bench placement
     CRITERION_JSON=/tmp/convolve.json cargo bench -p moldable-bench --bench convolve
+    CRITERION_JSON=/tmp/dual.json cargo bench -p moldable-bench --bench dual_algorithms
     python3 ci/bench_gate.py --update --baseline benches/baseline.json \
         /tmp/jobview.json /tmp/stream.json /tmp/service.json /tmp/placement.json \
-        /tmp/convolve.json
+        /tmp/convolve.json /tmp/dual.json
 
 Exit status: 0 when every baselined benchmark is present and within
 tolerance, 1 otherwise. Benchmarks present in the current run but not

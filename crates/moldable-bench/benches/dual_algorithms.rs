@@ -43,6 +43,23 @@ fn bench_duals(c: &mut Criterion) {
             );
         }
     }
+    // One Algorithm-3 probe on the m < 16n knapsack path (the regime of
+    // the stream engine's re-plans): item-type rounding, bounded
+    // knapsack, assembly. At n = 32 most jobs are big and narrow, so the
+    // row times the per-probe rounding; at n = 2048 every job is small at
+    // this target, so it times the per-job passes (classification and
+    // small-job insertion).
+    let linear = ImprovedDual::new_linear(eps).without_large_m_dispatch();
+    for n in [32usize, 2048] {
+        let inst = bench_instance(BenchFamily::Mixed, n, 256, 1);
+        let view = JobView::build(&inst);
+        let d = 2 * estimate(&inst).omega;
+        group.bench_with_input(
+            BenchmarkId::new("linear-knapsack-probe", format!("n{n}_m256")),
+            &d,
+            |b, &d| b.iter(|| linear.run(&view, d).unwrap()),
+        );
+    }
     group.finish();
 }
 

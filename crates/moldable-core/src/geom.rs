@@ -16,7 +16,11 @@
 //! * [`igeom_covering`] — integer grids for *capacities*: every integer
 //!   `α ∈ [L, U]` has a grid value `α̃` with `α ≤ α̃ ≤ ⌈α·x⌉ₓ`… precisely, the
 //!   grid satisfies Eq. 15's step condition `α_i − α_{i−1} ≤ (1 − 1/x)·α_i`
-//!   (equivalently `α_{i-1} ≥ α_i/x`).
+//!   (equivalently `α_{i-1} ≥ α_i/x`); [`igeom_up`] and [`capacity_grid`]
+//!   are its rounding-up counterparts (profits, knapsack capacities).
+//!   Integer grids step in integers: `⌊g·x⌋` or `⌈g·x⌉` is one checked
+//!   multiply and one division by `x`'s reduced numerator and denominator,
+//!   with no rational arithmetic per grid value.
 
 use crate::ratio::Ratio;
 
@@ -95,9 +99,28 @@ pub fn igeom_covering(lo: u64, hi: u64, x: &Ratio) -> Vec<u64> {
     let mut out = vec![lo];
     let mut cur = lo;
     while cur < hi {
-        let nxt = (x.mul_int(cur as u128).floor() as u64).max(cur + 1);
+        let nxt = (x.mul_int_floor(cur as u128) as u64).max(cur + 1);
         out.push(nxt);
         cur = nxt;
+    }
+    out
+}
+
+/// Integer "round-up" geometric grid: `g_0 = lo`,
+/// `g_{i+1} = max(⌈g_i · x⌉, g_i + 1)`, ending at the first value `≥ hi`
+/// (just `[lo]` when `lo ≥ hi`). Each value costs one checked multiply
+/// and one division (`Ratio::mul_int_ceil`); no rational is built per
+/// value. This is the profit grid `geom(δd/2, bd/2, 1+δ/b)` of
+/// Section 4.3.1 and, shifted by one step, the [`capacity_grid`].
+///
+/// Panics if `x ≤ 1` or a step overflows `u128`.
+pub fn igeom_up(lo: u128, hi: u128, x: &Ratio) -> Vec<u128> {
+    assert!(*x > Ratio::one(), "step factor must exceed 1");
+    let mut out = vec![lo];
+    let mut cur = lo;
+    while cur < hi {
+        cur = x.mul_int_ceil(cur).max(cur + 1);
+        out.push(cur);
     }
     out
 }
@@ -122,16 +145,11 @@ pub fn round_down_u64(v: u64, grid: &[u64]) -> Option<u64> {
 pub fn capacity_grid(lo: u64, hi: u64, rho: &Ratio) -> Vec<u64> {
     assert!(lo >= 1 && !rho.is_zero() && *rho < Ratio::one());
     let x = rho.one_minus().recip();
-    let start = x.mul_int(lo as u128).ceil() as u64;
-    let mut out = vec![start];
-    let mut cur = start;
-    while cur < hi {
-        // Next value: ⌈cur / (1−ρ)⌉, forced to progress.
-        let nxt = (x.mul_int(cur as u128).ceil() as u64).max(cur + 1);
-        out.push(nxt);
-        cur = nxt;
-    }
-    out
+    // Each next value is ⌈cur / (1−ρ)⌉, forced to progress.
+    igeom_up(x.mul_int_ceil(lo as u128), hi as u128, &x)
+        .into_iter()
+        .map(|g| g as u64)
+        .collect()
 }
 
 #[cfg(test)]
@@ -226,6 +244,96 @@ mod tests {
             let ok = grid.iter().any(|&a| a >= alpha && a <= ub);
             assert!(ok, "α={alpha} not covered by {grid:?}");
         }
+    }
+
+    /// The integer grids as they stepped before integer stepping: one
+    /// `Ratio::mul_int` (gcd-reduced) plus `floor`/`ceil` per value.
+    mod ratio_stepped {
+        use crate::ratio::Ratio;
+
+        pub fn igeom_covering(lo: u64, hi: u64, x: &Ratio) -> Vec<u64> {
+            let mut out = vec![lo];
+            let mut cur = lo;
+            while cur < hi {
+                let nxt = (x.mul_int(cur as u128).floor() as u64).max(cur + 1);
+                out.push(nxt);
+                cur = nxt;
+            }
+            out
+        }
+
+        pub fn capacity_grid(lo: u64, hi: u64, rho: &Ratio) -> Vec<u64> {
+            let x = rho.one_minus().recip();
+            let start = x.mul_int(lo as u128).ceil() as u64;
+            let mut out = vec![start];
+            let mut cur = start;
+            while cur < hi {
+                let nxt = (x.mul_int(cur as u128).ceil() as u64).max(cur + 1);
+                out.push(nxt);
+                cur = nxt;
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn integer_stepping_matches_ratio_stepping() {
+        // (lo, hi) pairs: lo == hi, lo = 1, and wide ranges.
+        let ranges = [
+            (1u64, 1u64),
+            (7, 7),
+            (1, 50),
+            (1, 5000),
+            (3, 500),
+            (121, 1 << 20),
+        ];
+        // Steps (and ρ = 2/8) given with a common factor reduce before
+        // stepping; 1+1/240 and 2421/2420 are the ε = 1/4 steps.
+        let steps = [
+            Ratio::new(6, 4),
+            Ratio::new(4242, 4240),
+            Ratio::new(241, 240),
+            Ratio::new(2421, 2420),
+            Ratio::new(101, 100),
+        ];
+        for &(lo, hi) in &ranges {
+            for x in &steps {
+                assert_eq!(
+                    igeom_covering(lo, hi, x),
+                    ratio_stepped::igeom_covering(lo, hi, x),
+                    "igeom_covering({lo}, {hi}, {x})"
+                );
+            }
+            for rho in [Ratio::new(2, 8), Ratio::new(1, 7), Ratio::new(1, 480)] {
+                assert_eq!(
+                    capacity_grid(lo, hi, &rho),
+                    ratio_stepped::capacity_grid(lo, hi, &rho),
+                    "capacity_grid({lo}, {hi}, {rho})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn igeom_up_near_u64_max() {
+        // The ε = 1/4 profit grid (b = 121, δ = 1/20, x = 1+δ/b) from δd/2
+        // to bd/2 at the largest target whose top still fits a u64,
+        // d = ⌊2·u64::MAX / b⌋, and at the largest target, d = u64::MAX.
+        let x = Ratio::new(2421, 2420);
+        for d in [2 * u64::MAX as u128 / 121, u64::MAX as u128] {
+            let (lo, hi) = (d.div_ceil(40), (121 * d).div_ceil(2));
+            let g = igeom_up(lo, hi, &x);
+            assert!(*g.last().unwrap() >= hi && g[g.len() - 2] < hi);
+            for w in g.windows(2) {
+                assert_eq!(w[1], x.mul_int(w[0]).ceil().max(w[0] + 1));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Ratio::mul_int overflow")]
+    fn igeom_up_overflow_is_loud() {
+        let _ = igeom_up(u128::MAX / 2, u128::MAX, &Ratio::new(2421, 2420));
     }
 
     #[test]

@@ -181,6 +181,22 @@ impl Ratio {
         Ratio::new(num, self.den / g)
     }
 
+    /// `⌊self · v⌋` in one checked multiply and one division — the
+    /// integer step of the geometric grids in [`crate::geom`]. Equals
+    /// `self.mul_int(v).floor()`; panics on overflow of `num · v`, which
+    /// covers every case where [`Ratio::mul_int`] panics.
+    pub(crate) fn mul_int_floor(&self, v: u128) -> u128 {
+        self.num.checked_mul(v).expect("Ratio::mul_int overflow") / self.den
+    }
+
+    /// `⌈self · v⌉`; the rounding-up twin of [`Ratio::mul_int_floor`].
+    pub(crate) fn mul_int_ceil(&self, v: u128) -> u128 {
+        self.num
+            .checked_mul(v)
+            .expect("Ratio::mul_int overflow")
+            .div_ceil(self.den)
+    }
+
     /// Divide by an integer. Panics if `v == 0`.
     pub fn div_int(&self, v: u128) -> Ratio {
         assert!(v != 0, "Ratio::div_int by zero");
@@ -453,6 +469,17 @@ mod tests {
         let s = Ratio::new(10, 3);
         assert!(s.le_int(4));
         assert!(!s.le_int(3));
+    }
+
+    #[test]
+    fn integer_scaling_matches_mul_int() {
+        // 6/4 reduces to 3/2; v shares factors with the denominator or not.
+        for x in [Ratio::new(6, 4), Ratio::new(2421, 2420), Ratio::new(7, 1)] {
+            for v in [0u128, 1, 2, 3, 1210, 2420, 4841, u64::MAX as u128] {
+                assert_eq!(x.mul_int_floor(v), x.mul_int(v).floor(), "{x} · {v}");
+                assert_eq!(x.mul_int_ceil(v), x.mul_int(v).ceil(), "{x} · {v}");
+            }
+        }
     }
 
     #[test]

@@ -15,10 +15,17 @@
 //!   `geom(s/2, s, 1+4ρ)` per shelf height `s ∈ {d, d/2}` (Lemma 17);
 //! * profits of jobs narrow in both shelves round to `0` (below `δd/2`)
 //!   or **up** onto `geom(δd/2, bd/2, 1+δ/b)`.
+//!
+//! Per-probe cost: one pass over the knapsack jobs, plus the profit grid
+//! walked in integer steps ([`igeom_up`]: one multiply and one division
+//! per value, no rational arithmetic per grid value) only up to the
+//! largest profit of a job narrow in S2. The whole grid has
+//! `O((b/δ)·log(b/δ))` values (≈ 18,860 at ε = 1/4); the time and size
+//! grids have `O(1/δ)` and `O(log m/ρ)`.
 
 use crate::shelves::ShelfContext;
 use moldable_core::compression::{DoubleCompression, SizeClassGrid};
-use moldable_core::geom::rgeom;
+use moldable_core::geom::{igeom_up, rgeom};
 use moldable_core::ratio::Ratio;
 use moldable_core::types::{JobId, Time, Work};
 use moldable_core::view::JobView;
@@ -36,19 +43,8 @@ pub struct RoundedTypes {
     pub jobs_by_type: Vec<Vec<JobId>>,
 }
 
-/// Integer "round-up" geometric grid: first value ≥ lo, factor x, covering hi.
-fn up_grid(lo: &Ratio, hi: &Ratio, x: &Ratio) -> Vec<u128> {
-    let mut g = vec![lo.ceil().max(1)];
-    while Ratio::from_int(*g.last().unwrap()) < *hi {
-        let cur = *g.last().unwrap();
-        let nxt = (x.mul_int(cur).ceil()).max(cur + 1);
-        g.push(nxt);
-    }
-    g
-}
-
-/// Smallest grid value ≥ v (grids from [`up_grid`] always cover their range;
-/// extend defensively if v exceeds the top).
+/// Smallest grid value ≥ v (grids from [`igeom_up`] always cover their
+/// range; extend defensively if v exceeds the top).
 fn round_up_int(v: u128, grid: &[u128]) -> u128 {
     let idx = grid.partition_point(|&g| g < v);
     if idx < grid.len() {
@@ -86,9 +82,26 @@ pub fn round_knapsack_types(
             grid[idx - 1]
         }
     };
-    let profit_lo = delta.mul_int(d as u128).div_int(2); // δd/2
-    let profit_hi = Ratio::from_int(b as u128).mul_int(d as u128).div_int(2); // bd/2
-    let profit_grid = up_grid(&profit_lo, &profit_hi, &delta.div_int(b as u128).one_plus());
+    // Profits are integers, so v < δd/2 ⇔ v < ⌈δd/2⌉, and the grid
+    // geom(δd/2, bd/2, 1+δ/b) steps in integers from ⌈δd/2⌉ to the first
+    // value ≥ ⌈bd/2⌉. Only jobs narrow in S2 (γ(d/2) < b, which the size
+    // rounding keeps exact) round onto it, so walk it only as far as the
+    // largest of their profits: the prefix gives every lookup the same
+    // answer as the whole grid.
+    let profit_lo = delta.mul_int(d as u128).div_int(2).ceil(); // ⌈δd/2⌉
+    let profit_hi = (b as u128 * d as u128).div_ceil(2); // ⌈bd/2⌉
+    let narrow_top = ctx
+        .knapsack_jobs
+        .iter()
+        .filter(|bj| bj.gamma_half_d.is_some_and(|g| g < b))
+        .map(|bj| bj.profit)
+        .max()
+        .unwrap_or(0);
+    let profit_grid = igeom_up(
+        profit_lo.max(1),
+        profit_hi.min(narrow_top),
+        &delta.div_int(b as u128).one_plus(),
+    );
 
     // Round every knapsack job to a type.
     let mut groups: BTreeMap<(u64, Work, bool), Vec<JobId>> = BTreeMap::new();
@@ -99,7 +112,7 @@ pub fn round_knapsack_types(
         let rounded_half = sizes.round_down(gamma_half);
         let profit: Work = if rounded_half < b {
             // Narrow in S2: round the original profit.
-            if Ratio::from_int(bj.profit) < profit_lo {
+            if bj.profit < profit_lo {
                 0
             } else {
                 round_up_int(bj.profit, &profit_grid)

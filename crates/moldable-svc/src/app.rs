@@ -747,10 +747,31 @@ impl App {
     }
 }
 
-/// Substring search over raw bytes (`memmem` without the dependency);
-/// request bodies are short and this only runs once per request.
+/// Substring search over raw bytes (`memmem` without the dependency)
+/// for a non-empty `needle`. It runs on every memo hit over the whole
+/// body, so candidate starts — bytes equal to the needle's first byte —
+/// are found eight at a time with the SWAR zero-byte test, and only they
+/// are compared in full: bodies are mostly digits, so the scan takes
+/// about one step per word instead of one per byte.
 fn contains_bytes(haystack: &[u8], needle: &[u8]) -> bool {
-    haystack.windows(needle.len()).any(|w| w == needle)
+    const ONES: u64 = u64::from_le_bytes([1; 8]);
+    let pattern = ONES * u64::from(needle[0]);
+    let matches_at = |i: usize| haystack.get(i..i + needle.len()) == Some(needle);
+    let mut words = haystack.chunks_exact(8);
+    for (w, word) in (&mut words).enumerate() {
+        let x = u64::from_le_bytes(word.try_into().expect("8-byte chunk")) ^ pattern;
+        // The high bit of every zero byte of x is set (a borrow can also
+        // flag a 0x01 byte above one; the full compare rejects those).
+        let mut hits = x.wrapping_sub(ONES) & !x & (ONES << 7);
+        while hits != 0 {
+            if matches_at(8 * w + hits.trailing_zeros() as usize / 8) {
+                return true;
+            }
+            hits &= hits - 1;
+        }
+    }
+    let tail = haystack.len() - words.remainder().len();
+    (tail..haystack.len()).any(matches_at)
 }
 
 /// The wire-format v4 response echo of the request's tenant, with the
@@ -907,6 +928,45 @@ pub fn fragmentation_summary(topology: &Topology, placement: &Placement) -> Valu
 mod tests {
     use super::*;
     use moldable_sched::solver::UnknownSolver;
+
+    #[test]
+    fn contains_bytes_matches_a_window_scan() {
+        let naive = |h: &[u8], n: &[u8]| h.windows(n.len()).any(|w| w == n);
+        let mut seed = 0x7E4A_47A1_u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        // A small alphabet with 0x00/0x01 (the SWAR test's borrow cases)
+        // makes partial and overlapping matches common.
+        let alphabet = b"\"tent\x00\x01";
+        let mut draw = |len: u64| -> Vec<u8> {
+            (0..len)
+                .map(|_| alphabet[(next() % alphabet.len() as u64) as usize])
+                .collect()
+        };
+        for round in 0..4000 {
+            let needle = if round % 2 == 0 {
+                b"\"tenant\"".to_vec()
+            } else {
+                draw(1 + round % 9)
+            };
+            let mut hay = draw(round % 41);
+            if round % 3 == 0 && hay.len() >= needle.len() {
+                // Plant the needle at every kind of offset, word-straddling
+                // and in the tail included.
+                let at = (round / 3) as usize % (hay.len() - needle.len() + 1);
+                hay[at..at + needle.len()].copy_from_slice(&needle);
+            }
+            assert_eq!(
+                contains_bytes(&hay, &needle),
+                naive(&hay, &needle),
+                "{hay:?} / {needle:?}"
+            );
+        }
+    }
 
     fn post(path: &str, body: &str) -> Request {
         Request {
