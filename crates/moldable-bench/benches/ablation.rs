@@ -33,7 +33,8 @@ fn bench_ablations(c: &mut Criterion) {
         });
     }
 
-    // Estimator alone (the O(n log m log T) primitive every wrapper pays).
+    // Estimator alone (the primitive every wrapper pays: a search that
+    // brackets each job's γ, one to two γ-plus-work passes over the jobs).
     let inst = bench_instance(BenchFamily::PowerLaw, 4096, 1 << 30, 9);
     group.bench_function("estimator", |b| b.iter(|| estimate(&inst)));
 

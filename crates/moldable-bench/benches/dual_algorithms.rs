@@ -1,11 +1,13 @@
 //! Criterion micro-benchmarks behind Table 1: one dual call per algorithm
-//! at a feasible target, across (n, m) grid points.
+//! at a feasible target, across (n, m) grid points, and the Section 3
+//! estimator every dual solver runs before its first probe.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use moldable_core::ratio::Ratio;
+use moldable_core::types::{JobId, Work};
 use moldable_core::view::JobView;
 use moldable_sched::dual::DualAlgorithm;
-use moldable_sched::estimator::estimate;
+use moldable_sched::estimator::{estimate, estimate_view};
 use moldable_sched::{CompressibleDual, ImprovedDual, MrtDual};
 use moldable_workloads::{bench_instance, BenchFamily};
 use std::time::Duration;
@@ -59,6 +61,30 @@ fn bench_duals(c: &mut Criterion) {
             &d,
             |b, &d| b.iter(|| linear.run(&view, d).unwrap()),
         );
+    }
+    // The estimator at the paper's scale (n = 2¹⁴, m = 2²⁰), next to one
+    // γ-plus-work pass over the jobs at τ = ω: the estimator's cost in
+    // passes is the ratio of the two rows, held down by a CI bar.
+    for (family, tag) in [
+        (BenchFamily::PowerLaw, "powerlaw"),
+        (BenchFamily::Mixed, "mixed"),
+    ] {
+        let n = 16384usize;
+        let view = JobView::build(&bench_instance(family, n, 1 << 20, 1));
+        let omega = estimate_view(&view).omega;
+        let id = format!("{tag}_n{n}");
+        group.bench_function(BenchmarkId::new("estimator", &id), |b| {
+            b.iter(|| estimate_view(&view).omega)
+        });
+        group.bench_function(BenchmarkId::new("gamma-pass", &id), |b| {
+            b.iter(|| {
+                let mut work: Work = 0;
+                for j in 0..n as JobId {
+                    work += view.work(j, view.gamma_int(j, omega).unwrap());
+                }
+                work
+            })
+        });
     }
     group.finish();
 }

@@ -282,6 +282,66 @@ impl JobView {
         Some(self.procs[lo + idx])
     }
 
+    /// First and last *γ position* of job `j`. Positions index the
+    /// staircase a γ search walks: row indices `0..k` of a materialized
+    /// job, processor counts `1..=m` of a fallback job. Thresholds only
+    /// move a job's γ position one way: the first position is `γ_j(t_j(1))`
+    /// (one processor), the last is `γ_j(t_j(m))`.
+    #[inline]
+    pub fn gamma_positions(&self, j: JobId) -> (u64, u64) {
+        if self.fallback[j as usize].is_some() {
+            return (1, self.m);
+        }
+        let (lo, hi) = (self.offsets[j as usize], self.offsets[j as usize + 1]);
+        (0, (hi - lo - 1) as u64)
+    }
+
+    /// The bracketed γ search: the least position in `[a, b)` whose time
+    /// is at most `threshold`, or `b` if there is none. Callers keep
+    /// `γ_j(threshold)` inside `[a, b]` — for instance `a` = the position
+    /// at a larger threshold and `b` = the position at a smaller one —
+    /// and then the answer is `γ_j(threshold)`'s position, found in
+    /// `O(log (b − a))` steps.
+    #[inline]
+    pub fn gamma_position_in(&self, j: JobId, threshold: Time, a: u64, b: u64) -> u64 {
+        debug_assert!(a <= b);
+        if let Some(curve) = &self.fallback[j as usize] {
+            let (mut lo, mut hi) = (a, b);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if curve.time(mid) <= threshold {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            return lo;
+        }
+        let off = self.offsets[j as usize];
+        let row = &self.times[off + a as usize..off + b as usize];
+        a + row.partition_point(|&t| t > threshold) as u64
+    }
+
+    /// Processor count at γ position `pos` of job `j` (see
+    /// [`JobView::gamma_positions`]).
+    #[inline]
+    pub fn position_procs(&self, j: JobId, pos: u64) -> Procs {
+        if self.fallback[j as usize].is_some() {
+            return pos;
+        }
+        self.procs[self.offsets[j as usize] + pos as usize]
+    }
+
+    /// Work at γ position `pos` of job `j`.
+    #[inline]
+    pub fn position_work(&self, j: JobId, pos: u64) -> Work {
+        if let Some(curve) = &self.fallback[j as usize] {
+            return (pos as Work) * (curve.time(pos) as Work);
+        }
+        let i = self.offsets[j as usize] + pos as usize;
+        (self.procs[i] as Work) * (self.times[i] as Work)
+    }
+
     /// Largest sequential time, `max_j t_j(1)` — `O(n)` array scan.
     pub fn max_seq_time(&self) -> Time {
         self.seq_times.iter().copied().max().unwrap_or(0)

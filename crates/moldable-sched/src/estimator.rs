@@ -9,15 +9,23 @@
 //!
 //! For monotone jobs, the allotment minimizing ω at a time threshold `τ` is
 //! the canonical `γ(τ)` (it meets `t ≤ τ` with the least work). The function
-//! `f(τ) = max(τ, ⌈W(γ(τ))/m⌉)` therefore has a single crossing, found by
-//! binary search on integer `τ`: `O(log T)` iterations of `O(n log m)`
-//! each — fully polynomial in the compact encoding.
+//! `f(τ) = max(τ, ⌈W(γ(τ))/m⌉)` therefore has a single crossing: the least
+//! integer `τ` with `W(γ(τ)) ≤ m·τ`. The search for it lives in
+//! [`moldable_core::bounds::least_fitting_threshold`], shared with the
+//! parametric lower bound. It brackets each job's γ between the ends of
+//! the search interval — γ only shrinks as `τ` grows — so a probe searches
+//! only inside each job's bracket, and a job whose bracket has closed is
+//! never visited again. On the benchmark families (n = 2¹⁴, m = 2²⁰) the
+//! whole search costs one to two γ-plus-work passes over the jobs (the
+//! `dual_algorithms/estimator` and `gamma-pass` bench rows); re-searching
+//! every γ at each of the `O(log T)` bisection steps would cost one full
+//! pass per step.
 
 use crate::list_scheduling::greedy_schedule;
 use crate::schedule::Schedule;
-use moldable_core::bounds::upper_bound_seq_view;
+use moldable_core::bounds::least_fitting_threshold;
 use moldable_core::instance::Instance;
-use moldable_core::types::{JobId, Procs, Time, Work};
+use moldable_core::types::{JobId, Procs, Time};
 use moldable_core::view::JobView;
 
 /// Result of the estimator.
@@ -29,19 +37,6 @@ pub struct Estimate {
     pub allotment: Vec<Procs>,
 }
 
-/// `ω(a)` numerator pieces at threshold τ: the canonical allotment and its
-/// total work, or `None` if some job cannot meet τ even on `m` processors.
-fn profile_at(view: &JobView, tau: Time) -> Option<(Vec<Procs>, Work)> {
-    let mut allot = Vec::with_capacity(view.n());
-    let mut work: Work = 0;
-    for j in 0..view.n() as JobId {
-        let p = view.gamma_int(j, tau)?;
-        work += view.work(j, p);
-        allot.push(p);
-    }
-    Some((allot, work))
-}
-
 /// Compute the factor-2 estimate. Panics on empty instances.
 ///
 /// Convenience wrapper over [`estimate_view`]; callers doing more than one
@@ -51,43 +46,12 @@ pub fn estimate(inst: &Instance) -> Estimate {
     estimate_view(&JobView::build(inst))
 }
 
-/// [`estimate`] over a prebuilt [`JobView`]: each of the `O(log T)` probes
-/// costs `n` γ array lookups instead of `n` oracle binary searches.
+/// [`estimate`] over a prebuilt [`JobView`]: the bracketed search of
+/// [`least_fitting_threshold`], served from the view's γ staircases.
 pub fn estimate_view(view: &JobView) -> Estimate {
     assert!(view.n() > 0, "estimate of an empty instance");
-    let m = view.m() as Work;
-    // pred(τ): γ(τ) defined and ⌈W(γ(τ))/m⌉ ≤ τ — monotone in τ.
-    let pred = |tau: Time| -> bool {
-        match profile_at(view, tau) {
-            None => false,
-            Some((_, w)) => w.div_ceil(m) <= tau as Work,
-        }
-    };
-    let mut hi = upper_bound_seq_view(view).max(1);
-    debug_assert!(pred(hi));
-    let mut lo: Time = 0; // pred(0) false unless trivial; keep invariant loose
-    if pred(0) {
-        let (allotment, _) = profile_at(view, 0).unwrap();
-        return Estimate {
-            omega: 0,
-            allotment,
-        };
-    }
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if pred(mid) {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    // τ* = hi is the crossing: f(τ*) = τ* and f(τ) > τ* for τ < τ*
-    // (for τ < τ*: f(τ) ≥ ⌈W(γ(τ))/m⌉ ≥ τ+1 ≥ ... ≥ τ*), so ω = τ*.
-    let (allotment, _) = profile_at(view, hi).unwrap();
-    Estimate {
-        omega: hi,
-        allotment,
-    }
+    let (omega, allotment) = least_fitting_threshold(view);
+    Estimate { omega, allotment }
 }
 
 /// The 2-approximate schedule induced by the estimate: greedily schedule the
@@ -176,6 +140,27 @@ mod tests {
                 2 * est.omega
             );
         }
+    }
+
+    #[test]
+    fn sequential_total_beyond_u64_is_no_obstacle() {
+        // Σ t_j(1) = 18·2⁶¹ overflows u64, but OPT = 3·2⁶¹ (every job on
+        // its own processor) fits: the search must not start below ω.
+        let t: Time = 3 << 61;
+        let inst = Instance::new(vec![SpeedupCurve::Constant(t); 6], 1024);
+        let est = estimate(&inst);
+        assert_eq!(est.omega, t);
+        assert_eq!(est.allotment, vec![1; 6]);
+        let sched = two_approx_schedule(&inst);
+        validate(&sched, &inst).unwrap();
+        assert_eq!(sched.makespan(&inst), Ratio::from(t));
+    }
+
+    #[test]
+    #[should_panic(expected = "ω exceeds the time range")]
+    fn omega_beyond_u64_panics_plainly() {
+        let inst = Instance::new(vec![SpeedupCurve::Constant(u64::MAX); 2], 1);
+        estimate(&inst);
     }
 
     #[test]

@@ -1026,6 +1026,23 @@ mod tests {
     }
 
     #[test]
+    fn solve_survives_a_sequential_total_beyond_u64() {
+        // Σ t_j(1) = 18·2⁶¹ overflows u64 while OPT = 3·2⁶¹ fits, so the
+        // estimator's search must start from a saturating upper bound.
+        let app = app();
+        let jobs = [r#"{"constant": 6917529027641081856}"#; 6].join(", ");
+        let body =
+            format!(r#"{{"instance": {{"m": 1024, "jobs": [{jobs}]}}, "algo": "linear"}}"#);
+        let resp = app.respond(&post("/v1/solve", &body));
+        assert_eq!(resp.status, 200, "{}", body_text(&resp));
+        let v = json_of(&resp);
+        assert_eq!(v["opt_lower_bound"].as_u64(), Some(6917529027641081856));
+        assert_eq!(v["assignments"].as_array().unwrap().len(), 6);
+        // The reply was validated before it was sent; the worker lives on.
+        assert_eq!(app.respond(&get("/healthz")).status, 200);
+    }
+
+    #[test]
     fn solve_default_algo_and_eps() {
         let app = app();
         let resp = app.respond(&post(
