@@ -8,7 +8,9 @@
 #      v1 shape, once requesting wire-format v2 placement rows (which
 #      are also validated structurally: disjoint, sized, in range), and
 #      once in the v3 topology shape (packed policy on a 4x2x32
-#      hierarchy; every job must stay inside one node),
+#      hierarchy; every job must stay inside one node), and POST the
+#      same instance to /v1/race and assert the whole reply equals CLI
+#      `race` minus its CLI-only keys (plain and with placements),
 #   4. cache consistency: POST the same body twice and assert the
 #      responses are byte-identical and /metrics counted a cache hit,
 #   5. wire-format v4 admission: an over-quota tenant-tagged solve gets
@@ -72,6 +74,15 @@ $BIN/moldable solve --input /tmp/svc_inst.json --algo linear --eps 1/4 \
     --topology "4*2*32" --policy packed > /tmp/cli_topo.json
 python3 ci/solve_parity.py "$ADDR" /tmp/svc_inst.json /tmp/cli_topo.json \
     --algo linear --eps 1/4 --topology "4*2*32" --policy packed --max-level-span node:1
+
+# Race parity: `/v1/race` and CLI `race` render one reply, so the whole
+# object must match once the CLI-only `threads` and per-row
+# `wall_seconds` keys are dropped.
+$BIN/moldable race --input /tmp/svc_inst.json --eps 1/4 > /tmp/cli_race.json
+python3 ci/solve_parity.py "$ADDR" /tmp/svc_inst.json /tmp/cli_race.json --eps 1/4 --race
+$BIN/moldable race --input /tmp/svc_inst.json --eps 1/4 --place > /tmp/cli_race_place.json
+python3 ci/solve_parity.py "$ADDR" /tmp/svc_inst.json /tmp/cli_race_place.json \
+    --eps 1/4 --placements --race
 
 # Cache consistency: the same body served twice must be byte-identical,
 # and /metrics must show the repeat was answered from the cache.

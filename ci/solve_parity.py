@@ -4,7 +4,13 @@
 Builds a `/v1/solve` body from an instance file, POSTs it to a running
 `moldable-svc`, and asserts the service's answer matches the CLI `solve`
 output for the same instance/algo/eps: identical makespan (byte-for-byte
-on the serialized token) and identical assignment rows.
+on the serialized token), identical assignment rows, and — since both
+front ends render one reply — the whole reply object equal once the
+CLI-only `total_work` key is dropped.
+
+With --race, the body goes to `/v1/race` instead and the CLI output
+must come from `race`: the whole reply must match once the CLI-only
+`threads` key and each result row's `wall_seconds` are dropped.
 
 With --placements, the request asks for wire-format v2 placement rows
 (the body gains `"placements": true`, the CLI run must have used
@@ -21,7 +27,7 @@ placement row's locality at LEVEL (e.g. `node:1` asserts a packed
 placement never crosses a node).
 
 Usage: python3 ci/solve_parity.py ADDR INSTANCE.json CLI_SOLVE_OUTPUT.json
-       [--algo linear] [--eps 1/4] [--placements]
+       [--algo linear] [--eps 1/4] [--placements] [--race]
        [--topology SPEC] [--policy P] [--max-level-span LEVEL:N]
 """
 
@@ -31,6 +37,13 @@ import re
 import sys
 import urllib.request
 from fractions import Fraction
+
+# Keys only the CLI prints: the service leaves them out (`total_work`
+# is derivable, `threads` and `wall_seconds` are not pure functions of
+# the request).
+CLI_ONLY_SOLVE = ("total_work",)
+CLI_ONLY_RACE = ("threads",)
+CLI_ONLY_RACE_ROW = ("wall_seconds",)
 
 
 def makespan_token(text):
@@ -67,6 +80,23 @@ def check_placements(reply, m):
                     f"jobs {job_a} and {job_b} share processors {sorted(shared)[:8]}"
 
 
+def without(obj, keys):
+    """`obj` minus `keys`, each of which must be present."""
+    missing = [k for k in keys if k not in obj]
+    assert not missing, f"CLI output lacks its CLI-only keys {missing}"
+    return {k: v for k, v in obj.items() if k not in keys}
+
+
+def race_parity(svc, cli):
+    """Whole-reply parity of `/v1/race` and CLI `race`."""
+    cli = without(cli, CLI_ONLY_RACE)
+    cli["results"] = [without(row, CLI_ONLY_RACE_ROW) for row in cli["results"]]
+    assert svc == cli, "race replies differ between CLI and service"
+    print(f"race parity ok: {len(svc['results'])} solver rows, "
+          f"all_bounds_hold {svc['all_bounds_hold']}")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("addr", help="service address, HOST:PORT")
@@ -76,6 +106,8 @@ def main():
     parser.add_argument("--eps", default="1/4")
     parser.add_argument("--placements", action="store_true",
                         help="request and validate wire-format v2 placement rows")
+    parser.add_argument("--race", action="store_true",
+                        help="compare /v1/race with CLI `race` output instead")
     parser.add_argument("--topology", default=None,
                         help="wire-format v3 topology spec (e.g. 4*2*32)")
     parser.add_argument("--policy", default=None,
@@ -94,17 +126,20 @@ def main():
         if args.policy:
             request_body["policy"] = args.policy
     body = json.dumps(request_body).encode()
+    endpoint = "/v1/race" if args.race else "/v1/solve"
     request = urllib.request.Request(
-        f"http://{args.addr}/v1/solve", data=body,
+        f"http://{args.addr}{endpoint}", data=body,
         headers={"Content-Type": "application/json"}, method="POST")
     with urllib.request.urlopen(request, timeout=30) as resp:
-        assert resp.status == 200, f"/v1/solve returned {resp.status}"
+        assert resp.status == 200, f"{endpoint} returned {resp.status}"
         svc_text = resp.read().decode()
     svc = json.loads(svc_text)
 
     with open(args.cli_output) as f:
         cli_text = f.read()
     cli = json.loads(cli_text)
+    if args.race:
+        return race_parity(svc, cli)
 
     svc_token, cli_token = makespan_token(svc_text), makespan_token(cli_text)
     assert svc_token == cli_token, \
@@ -136,6 +171,7 @@ def main():
               f"(disjoint, sized, in range)")
     else:
         assert "placements" not in svc, "placements present without being requested"
+    assert svc == without(cli, CLI_ONLY_SOLVE), "solve replies differ between CLI and service"
     print(f"parity ok: makespan {svc_token}, {len(svc['assignments'])} assignments, "
           f"{svc['probes']} probes (algo {args.algo}, eps {args.eps})")
     return 0

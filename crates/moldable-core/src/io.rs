@@ -61,6 +61,8 @@ pub enum SpecError {
     ZeroTime,
     /// A machine count of zero.
     ZeroMachines,
+    /// An instance without jobs (every solver needs at least one).
+    NoJobs,
 }
 
 impl std::fmt::Display for SpecError {
@@ -70,6 +72,7 @@ impl std::fmt::Display for SpecError {
             SpecError::EmptyTable => write!(f, "table must be non-empty"),
             SpecError::ZeroTime => write!(f, "processing times must be positive"),
             SpecError::ZeroMachines => write!(f, "machine count must be positive"),
+            SpecError::NoJobs => write!(f, "job list must be non-empty"),
         }
     }
 }
@@ -150,6 +153,9 @@ impl InstanceSpec {
         if self.m == 0 {
             return Err(SpecError::ZeroMachines);
         }
+        if self.jobs.is_empty() {
+            return Err(SpecError::NoJobs);
+        }
         let curves = self
             .jobs
             .iter()
@@ -215,6 +221,13 @@ mod tests {
             CurveSpec::Staircase(vec![(2, 5)]).build().unwrap_err(),
             SpecError::Staircase(StaircaseError::FirstStepNotOne)
         ));
+        let spec = |m, jobs| InstanceSpec { m, jobs };
+        assert_eq!(spec(4, vec![]).build().unwrap_err(), SpecError::NoJobs);
+        // A zero machine count is reported first.
+        assert_eq!(
+            spec(0, vec![]).build().unwrap_err(),
+            SpecError::ZeroMachines
+        );
     }
 
     #[test]

@@ -21,24 +21,21 @@
 use crate::cache::ResponseCache;
 use crate::http::{Request, Response};
 use crate::metrics::{Endpoint, ServiceMetrics};
-use crate::wire::{parse_solve_body, ErrorKind, SolveRequest};
+use crate::pipeline;
+use crate::wire::reply::push_field;
+use crate::wire::{parse_solve_body, ErrorKind, Failure, SolveRequest};
 use moldable_core::hash::StableHasher;
-use moldable_core::hierarchy::Topology;
 use moldable_core::instance::Instance;
-use moldable_core::placement::Placement;
 use moldable_core::ratio::Ratio;
-use moldable_core::view::JobView;
-use moldable_sched::batch;
-use moldable_sched::exact::{EXACT_M_LIMIT, EXACT_N_LIMIT};
-use moldable_sched::place::{place_contiguous, place_with};
-use moldable_sched::quotas::{Demand, QuotaEngine, QuotaSet, Tenant, Ticket};
-use moldable_sched::solver::{race_roster, solver_by_name, ExactSolver};
-use moldable_sched::validate;
+use moldable_sched::quotas::{QuotaEngine, QuotaSet, Ticket};
 use moldable_sched::SOLVER_NAMES;
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+/// Re-exported from the renderer it belongs to, [`crate::wire::reply`].
+pub use crate::wire::reply::assignment_rows;
 
 /// Service-level limits and defaults.
 #[derive(Clone, Debug)]
@@ -98,11 +95,6 @@ pub struct App {
     /// *fleet's* concurrency, not one shard's.
     admission: Arc<Mutex<AdmissionState>>,
 }
-
-/// A handler failure: the typed error kind (which fixes the HTTP status)
-/// plus a detail message that travels verbatim into the
-/// `{"error": {"kind", "detail"}}` envelope.
-type Failure = (ErrorKind, String);
 
 /// Per-tenant admission counters surfaced under `/metrics`.
 #[derive(Clone, Debug, Default)]
@@ -285,7 +277,7 @@ impl App {
         let (endpoint, result) = self.route(method, path, body);
         let response = match result {
             Ok(body) => Response::json(body),
-            Err((kind, detail)) => Response::error(kind, &detail),
+            Err(failure) => Response::error(failure.kind, &failure.detail),
         };
         self.metrics.record(endpoint, response.status, t0.elapsed());
         response
@@ -300,24 +292,27 @@ impl App {
         match (method, path) {
             ("POST", "/v1/solve") => (
                 Endpoint::Solve,
-                self.body_memoized(1, body, |body| self.handle_solve(body)),
+                self.body_memoized(1, body, |body| self.handle(Endpoint::Solve, body)),
             ),
             ("POST", "/v1/race") => (
                 Endpoint::Race,
-                self.body_memoized(2, body, |body| self.handle_race(body)),
+                self.body_memoized(2, body, |body| self.handle(Endpoint::Race, body)),
             ),
             ("GET", "/healthz") => (Endpoint::Healthz, Ok(serialize(&self.handle_healthz()))),
             ("GET", "/metrics") => (Endpoint::Metrics, Ok(serialize(&self.handle_metrics()))),
             (_, "/v1/solve" | "/v1/race" | "/healthz" | "/metrics") => (
                 Endpoint::Other,
-                Err((
+                Err(Failure::new(
                     ErrorKind::MethodNotAllowed,
                     format!("method {method} not allowed here"),
                 )),
             ),
             (_, path) => (
                 Endpoint::Other,
-                Err((ErrorKind::NotFound, format!("no route for {path}"))),
+                Err(Failure::new(
+                    ErrorKind::NotFound,
+                    format!("no route for {path}"),
+                )),
             ),
         }
     }
@@ -446,12 +441,12 @@ impl App {
 
     /// Run a parsed request through admission control. Tenant-free
     /// requests bypass it entirely (`Ok(None)`). For tenant-tagged
-    /// requests the demand is the instance's `m` (processors), one job,
-    /// and `Σ tⱼ(1)` resource-seconds; it is checked against the
-    /// in-request rule set first (stateless — "would this request fit
-    /// these rules on an idle cluster"), then charged to the operator
-    /// engine (stateful — concurrency plus windowed history, shared
-    /// across the shard group). Either denial is a 429 carrying the
+    /// requests the [`pipeline::demand`] is checked against the
+    /// in-request rule set first ([`pipeline::admit_in_request`],
+    /// stateless — "would this request fit these rules on an idle
+    /// cluster"), then charged to the operator engine (stateful —
+    /// concurrency plus windowed history, shared across the shard
+    /// group). Either denial is a 429 carrying the
     /// [`QuotaDenial`](moldable_sched::quotas::QuotaDenial) verbatim,
     /// and charges nothing.
     fn admit(&self, sr: &SolveRequest, instance: &Instance) -> Result<Option<Ticket>, Failure> {
@@ -459,20 +454,15 @@ impl App {
             None => return Ok(None),
             Some(tenant) => tenant,
         };
-        let demand = Demand {
-            procs: instance.m(),
-            jobs: 1,
-            resource_seconds: instance.jobs().iter().map(|j| u128::from(j.time(1))).sum(),
-        };
+        let demand = pipeline::demand(instance);
         let mut state = self.admission.lock().expect("admission lock poisoned");
         let now = state.tick();
-        let own_rules = match &sr.quotas {
-            None => Ok(()),
-            Some(set) => QuotaEngine::new(set.clone())
+        let outcome = pipeline::admit_in_request(sr, &demand, now).and_then(|()| {
+            state
+                .engine
                 .admit(tenant, &demand, now)
-                .map(|_| ()),
-        };
-        let outcome = own_rules.and_then(|()| state.engine.admit(tenant, &demand, now));
+                .map_err(Failure::from)
+        });
         let counters = state.tenants.entry(tenant.to_string()).or_default();
         match outcome {
             Ok(ticket) => {
@@ -480,9 +470,9 @@ impl App {
                 counters.resource_seconds += demand.resource_seconds;
                 Ok(Some(ticket))
             }
-            Err(denial) => {
+            Err(failure) => {
                 counters.denied += 1;
-                Err((ErrorKind::QuotaDenied, denial.to_string()))
+                Err(failure)
             }
         }
     }
@@ -546,204 +536,35 @@ impl App {
         Ok(body)
     }
 
-    /// `POST /v1/solve`: one registry solver on one instance, through a
-    /// single shared [`JobView`] build — short-circuited by the
-    /// canonical-instance cache when an identical request was already
-    /// served. The second half of the return value tells
+    /// `POST /v1/solve` and `/v1/race`: parse, [`pipeline::resolve`]
+    /// (solve only — a race runs the whole roster), admit, then
+    /// [`pipeline::run`] or [`pipeline::run_race`], short-circuited by
+    /// the canonical-instance cache when an identical request was
+    /// already served. The second half of the return value tells
     /// [`App::body_memoized`] whether the served bytes may enter the
     /// exact-bytes memo (only tenant-free requests may — admission has
     /// to run on every tagged repeat).
-    fn handle_solve(&self, body: &[u8]) -> Result<(String, bool), Failure> {
-        let (sr, instance) = parse_solve_body(body, &self.config.default_eps)
-            .map_err(|e| (ErrorKind::BadRequest, e))?;
-        // The error Display lists every registry name; surface verbatim.
-        let solver = solver_by_name(&sr.algo, &sr.eps)
-            .map_err(|e| (ErrorKind::UnknownSolver, e.to_string()))?;
+    fn handle(&self, endpoint: Endpoint, body: &[u8]) -> Result<(String, bool), Failure> {
+        let (sr, instance) = parse_solve_body(body, &self.config.default_eps)?;
+        let solver = match endpoint {
+            Endpoint::Solve => Some(pipeline::resolve(&sr)?),
+            _ => None,
+        };
         let _ticket = TicketGuard {
             app: self,
             ticket: self.admit(&sr, &instance)?,
         };
-        let key = self.cache_key(Endpoint::Solve, &sr, &instance);
+        let key = self.cache_key(endpoint, &sr, &instance);
         let served = self.cached(key, || {
-            let view = JobView::build(&instance);
-            if sr.algo == "exact" && !ExactSolver::fits(&view) {
-                // Mirrors the CLI `solve` guard: the exhaustive search would
-                // blow its branch-and-bound cap mid-request.
-                return Err((
-                    ErrorKind::BadRequest,
-                    format!(
-                        "instance too large for the exact solver (n ≤ {EXACT_N_LIMIT}, m ≤ {EXACT_M_LIMIT})"
-                    ),
-                ));
-            }
-            let mut outcome = solver.solve(&view, view.m());
-            if let Some(topology) = &sr.topology {
-                // A topology request re-lowers even solver-provided
-                // placements, so the policy is honored uniformly across
-                // the whole registry.
-                let placement = place_with(&view, &outcome.schedule, topology, &sr.policy)
-                    .map_err(|e| (ErrorKind::Placement, format!("placement failed: {e}")))?;
-                outcome.schedule.placement = Some(placement);
-            } else if sr.placements && outcome.schedule.placement.is_none() {
-                // Lower the allotment schedule onto concrete processors; the
-                // error Display travels verbatim (it only fires on a solver
-                // bug — any demand-feasible schedule lowers).
-                let placement = place_contiguous(&view, &outcome.schedule)
-                    .map_err(|e| (ErrorKind::Placement, format!("placement failed: {e}")))?;
-                outcome.schedule.placement = Some(placement);
-            }
-            validate(&outcome.schedule, &instance).map_err(|e| {
-                (
-                    ErrorKind::InvalidSchedule,
-                    format!("solver produced an invalid schedule: {e}"),
-                )
-            })?;
-            let mut reply = json!({
-                "schema": sr.schema(),
-                "algo": sr.algo,
-                "solver": solver.name(),
-                "n": instance.n(),
-                "m": instance.m(),
-                "eps": sr.eps.to_f64(),
-                "makespan": outcome.makespan.to_f64(),
-                "ratio_bound": outcome.ratio_bound.as_ref().map(Ratio::to_f64),
-                "opt_lower_bound": outcome.lower_bound,
-                "probes": outcome.probes,
-                "assignments": assignment_rows(&instance, &outcome.schedule),
-            });
-            if sr.placements || sr.topology.is_some() {
-                let placement = outcome.schedule.placement.as_ref().expect("placed above");
-                push_field(
-                    &mut reply,
-                    "placements",
-                    placement_rows_on(placement, sr.topology.as_ref()),
-                );
-            }
-            if let Some(topology) = &sr.topology {
-                let placement = outcome.schedule.placement.as_ref().expect("placed above");
-                push_field(&mut reply, "topology", topology_rows(topology));
-                push_field(
-                    &mut reply,
-                    "policy",
-                    Value::String(sr.policy.label(topology)),
-                );
-                push_field(
-                    &mut reply,
-                    "fragmentation",
-                    fragmentation_summary(topology, placement),
-                );
-            }
-            if let Some(tenant) = &sr.tenant {
-                push_field(&mut reply, "tenant", tenant_echo(tenant));
-            }
+            let reply = match &solver {
+                Some(solver) => pipeline::run(&sr, &instance, solver.as_ref())?.to_value(),
+                None => {
+                    pipeline::run_race(&sr, &instance, self.config.race_threads)?.to_value()
+                }
+            };
             Ok(serialize(&reply))
         });
         served.map(|served| (served, sr.tenant.is_none()))
-    }
-
-    /// `POST /v1/race`: the full applicable roster on one instance via
-    /// the batch engine, with the CLI `race --check` parity verdict.
-    /// Returns the served bytes plus the memoizability flag, exactly as
-    /// [`App::handle_solve`] does.
-    fn handle_race(&self, body: &[u8]) -> Result<(String, bool), Failure> {
-        let (sr, instance) = parse_solve_body(body, &self.config.default_eps)
-            .map_err(|e| (ErrorKind::BadRequest, e))?;
-        let _ticket = TicketGuard {
-            app: self,
-            ticket: self.admit(&sr, &instance)?,
-        };
-        let key = self.cache_key(Endpoint::Race, &sr, &instance);
-        let served = self.cached(key, || self.race_uncached(&sr, &instance));
-        served.map(|served| (served, sr.tenant.is_none()))
-    }
-
-    fn race_uncached(&self, sr: &SolveRequest, instance: &Instance) -> Result<String, Failure> {
-        let eps = sr.eps;
-        let view = JobView::build(instance);
-        let omega = moldable_sched::estimate_view(&view).omega;
-        let solvers = race_roster(&view, &eps);
-        let results = batch::race(&solvers, &view, self.config.race_threads);
-        let mut all_bounds_hold = true;
-        let rows: Vec<Value> = results
-            .iter()
-            .map(|r| {
-                let mut schedule = r.outcome.schedule.clone();
-                if let Some(topology) = &sr.topology {
-                    let placement = place_with(&view, &schedule, topology, &sr.policy)
-                        .map_err(|e| {
-                            (
-                                ErrorKind::Placement,
-                                format!("{}: placement failed: {e}", r.label),
-                            )
-                        })?;
-                    schedule.placement = Some(placement);
-                } else if sr.placements && schedule.placement.is_none() {
-                    let placement = place_contiguous(&view, &schedule).map_err(|e| {
-                        (
-                            ErrorKind::Placement,
-                            format!("{}: placement failed: {e}", r.label),
-                        )
-                    })?;
-                    schedule.placement = Some(placement);
-                }
-                validate(&schedule, instance).map_err(|e| {
-                    (
-                        ErrorKind::InvalidSchedule,
-                        format!("{}: solver produced an invalid schedule: {e}", r.label),
-                    )
-                })?;
-                let bound_ok = r.outcome.ratio_bound.as_ref().map(|b| {
-                    let holds = r.outcome.makespan <= b.mul_int(2 * omega as u128);
-                    all_bounds_hold &= holds;
-                    holds
-                });
-                let mut row = json!({
-                    "solver": r.label,
-                    "makespan": r.outcome.makespan.to_f64(),
-                    "ratio_bound": r.outcome.ratio_bound.as_ref().map(Ratio::to_f64),
-                    "bound_holds_vs_2omega": bound_ok,
-                    "probes": r.outcome.probes,
-                });
-                if sr.placements || sr.topology.is_some() {
-                    let placement = schedule.placement.as_ref().expect("placed above");
-                    push_field(
-                        &mut row,
-                        "placements",
-                        placement_rows_on(placement, sr.topology.as_ref()),
-                    );
-                }
-                if let Some(topology) = &sr.topology {
-                    let placement = schedule.placement.as_ref().expect("placed above");
-                    push_field(
-                        &mut row,
-                        "fragmentation",
-                        fragmentation_summary(topology, placement),
-                    );
-                }
-                Ok(row)
-            })
-            .collect::<Result<_, Failure>>()?;
-        let mut reply = json!({
-            "schema": sr.schema(),
-            "n": instance.n(),
-            "m": instance.m(),
-            "eps": eps.to_f64(),
-            "omega": omega,
-            "all_bounds_hold": all_bounds_hold,
-        });
-        if let Some(topology) = &sr.topology {
-            push_field(&mut reply, "topology", topology_rows(topology));
-            push_field(
-                &mut reply,
-                "policy",
-                Value::String(sr.policy.label(topology)),
-            );
-        }
-        push_field(&mut reply, "results", Value::Array(rows));
-        if let Some(tenant) = &sr.tenant {
-            push_field(&mut reply, "tenant", tenant_echo(tenant));
-        }
-        Ok(serialize(&reply))
     }
 }
 
@@ -774,154 +595,10 @@ fn contains_bytes(haystack: &[u8], needle: &[u8]) -> bool {
     (tail..haystack.len()).any(matches_at)
 }
 
-/// The wire-format v4 response echo of the request's tenant, with the
-/// defaulted parts made explicit. Public so the CLI front end appends
-/// byte-identical `tenant` blocks to its own replies.
-pub fn tenant_echo(tenant: &Tenant) -> Value {
-    json!({
-        "user": tenant.user,
-        "project": tenant.project,
-        "class": tenant.class,
-    })
-}
-
 /// Compact-serialize a reply tree (the shim is infallible for its own
 /// data model; the `Result` only exists for signature compatibility).
 fn serialize(value: &Value) -> String {
     serde_json::to_string(value).expect("shim serialization is infallible")
-}
-
-/// Append one field to a JSON object (the shim's `Value::Object` keeps
-/// insertion order, so optional fields always serialize last).
-fn push_field(value: &mut Value, key: &str, field: Value) {
-    match value {
-        Value::Object(fields) => fields.push((key.to_string(), field)),
-        _ => unreachable!("handlers build object replies"),
-    }
-}
-
-/// Parse `"N/D"` into a ratio in `(0, 1]` — shared by the service's
-/// `"eps"` field and the CLI `--eps` flag so the two front ends accept
-/// exactly the same grammar.
-pub fn parse_eps(raw: &str) -> Result<Ratio, String> {
-    let (num, den) = raw
-        .split_once('/')
-        .ok_or_else(|| format!("eps must be N/D, got `{raw}`"))?;
-    let num: u128 = num.parse().map_err(|_| "bad eps numerator".to_string())?;
-    let den: u128 = den.parse().map_err(|_| "bad eps denominator".to_string())?;
-    if num == 0 || den == 0 || Ratio::new(num, den) > Ratio::one() {
-        return Err("need 0 < eps <= 1".to_string());
-    }
-    Ok(Ratio::new(num, den))
-}
-
-/// Assignment rows in the `solve` JSON shape — the **single** serializer
-/// behind the service, the CLI `solve`/`schedule` output, and
-/// `benches/service.rs`, so the CI byte-parity gate
-/// (`ci/solve_parity.py`) can never be diverged by a drifted copy.
-pub fn assignment_rows(inst: &Instance, s: &moldable_sched::Schedule) -> Value {
-    Value::Array(
-        s.assignments
-            .iter()
-            .map(|a| {
-                json!({
-                    "job": a.job,
-                    "start_num": a.start.num().to_string(),
-                    "start_den": a.start.den().to_string(),
-                    "procs": a.procs,
-                    "duration": inst.job(a.job).time(a.procs),
-                })
-            })
-            .collect(),
-    )
-}
-
-/// Placement rows in the wire-format v2 shape — like [`assignment_rows`],
-/// the single serializer behind the service and the CLI `--place`
-/// output. Each row carries the exact rational interval (numerator/
-/// denominator strings, same convention as assignment starts) and the
-/// processor set as inclusive `[lo, hi]` ranges.
-pub fn placement_rows(placement: &Placement) -> Value {
-    placement_rows_on(placement, None)
-}
-
-/// [`placement_rows`] with the wire-format v3 extension: when a
-/// topology is given, each row gains a trailing `"locality"` object
-/// mapping every level name to the number of blocks the job's set
-/// spans there. Without one, the rows are byte-identical to v2.
-pub fn placement_rows_on(placement: &Placement, topology: Option<&Topology>) -> Value {
-    Value::Array(
-        placement
-            .jobs
-            .iter()
-            .map(|p| {
-                let mut row = json!({
-                    "job": p.job,
-                    "start_num": p.start.num().to_string(),
-                    "start_den": p.start.den().to_string(),
-                    "end_num": p.end.num().to_string(),
-                    "end_den": p.end.den().to_string(),
-                    "procs": p.procs
-                        .ranges()
-                        .iter()
-                        .map(|&(lo, hi)| json!([lo, hi]))
-                        .collect::<Vec<Value>>(),
-                });
-                if let Some(t) = topology {
-                    let locality: Vec<(String, Value)> = t
-                        .levels()
-                        .iter()
-                        .enumerate()
-                        .map(|(i, level)| {
-                            (level.name.clone(), json!(t.span_blocks(i, &p.procs)))
-                        })
-                        .collect();
-                    push_field(&mut row, "locality", Value::Object(locality));
-                }
-                row
-            })
-            .collect(),
-    )
-}
-
-/// The topology echo in v3 replies: one row per level, coarsest first,
-/// carrying the level name and its block count.
-pub fn topology_rows(topology: &Topology) -> Value {
-    Value::Array(
-        topology
-            .levels()
-            .iter()
-            .map(|level| {
-                json!({
-                    "name": level.name,
-                    "blocks": level.blocks.len() as u64,
-                })
-            })
-            .collect(),
-    )
-}
-
-/// The v3 fragmentation summary: per level (keyed by name, coarsest
-/// first), the block count and the placement's mean/max blocks-spanned.
-pub fn fragmentation_summary(topology: &Topology, placement: &Placement) -> Value {
-    let report = topology.fragmentation(placement);
-    Value::Object(
-        report
-            .levels
-            .iter()
-            .map(|l| {
-                (
-                    l.level.clone(),
-                    json!({
-                        "blocks": l.blocks,
-                        "jobs": l.jobs,
-                        "mean_span": l.mean_span(),
-                        "max_span": l.max_span,
-                    }),
-                )
-            })
-            .collect(),
-    )
 }
 
 #[cfg(test)]
@@ -1119,6 +796,12 @@ mod tests {
                 r#"{"instance": {"m": 0, "jobs": []}}"#,
                 "invalid `instance`",
             ),
+            // Every solver path once panicked on an empty job list,
+            // taking the worker down with it.
+            (
+                r#"{"instance":{"m":4,"jobs":[]}}"#,
+                "invalid `instance`: job list must be non-empty",
+            ),
             (
                 &format!(r#"{{"instance": {INSTANCE}, "eps": "0/4"}}"#),
                 "eps",
@@ -1141,6 +824,7 @@ mod tests {
                 body_text(&resp)
             );
         }
+        assert_eq!(app.respond(&get("/healthz")).status, 200);
     }
 
     #[test]

@@ -12,11 +12,15 @@
 //!
 //! * [`http`] — minimal HTTP/1.1 request/response framing (both sides).
 //! * [`app`] — the transport-free router: `POST /v1/solve`,
-//!   `POST /v1/race`, `GET /healthz`, `GET /metrics`.
+//!   `POST /v1/race`, `GET /healthz`, `GET /metrics`, wrapping the
+//!   pipeline in admission control and the response caches.
+//! * [`pipeline`] — the resolve → guard → solve → lower → certify
+//!   sequence behind `/v1/solve`, `/v1/race` and CLI `solve`/`race`,
+//!   written once.
 //! * [`wire`] — the versioned wire format: the shared [`SolveRequest`]
 //!   (one struct parsed identically from CLI flags and JSON bodies),
-//!   the v4 tenant/quota grammar, and the typed [`ErrorKind`] envelope
-//!   every front end renders.
+//!   the v4 tenant/quota grammar, the reply renderer, and the typed
+//!   [`Failure`] / [`ErrorKind`] envelope every front end renders.
 //! * [`server`] — `std::net::TcpListener` + a fixed worker-thread accept
 //!   pool with keep-alive connections and cooperative shutdown.
 //! * [`metrics`] — per-endpoint counters and latency percentiles, with
@@ -40,6 +44,7 @@ pub mod cache;
 pub mod http;
 pub mod loadgen;
 pub mod metrics;
+pub mod pipeline;
 pub mod server;
 pub mod wire;
 
@@ -49,4 +54,4 @@ pub use http::{Request, RequestParts, RequestReader, Response};
 pub use loadgen::{LoadReport, LoadgenConfig};
 pub use metrics::ServiceMetrics;
 pub use server::{Server, ServerConfig, ShardedServer};
-pub use wire::{ErrorKind, SolveRequest};
+pub use wire::{ErrorKind, Failure, SolveRequest};

@@ -15,8 +15,15 @@
 //! verbatim (e.g. a [`QuotaDenial`] rendering or the solver registry
 //! listing).
 //!
+//! Errors are typed where they arise: each step builds a [`Failure`]
+//! with its kind fixed at the source, and both front ends render it as
+//! is. A bare `String` error converts to `bad-request`, the kind of
+//! every argument and request-syntax problem.
+//!
 //! [`QuotaDenial`]: moldable_sched::quotas::QuotaDenial
 
+use moldable_sched::quotas::QuotaDenial;
+use moldable_sched::solver::UnknownSolver;
 use std::fmt;
 
 /// Machine-readable failure class carried as `error.kind`.
@@ -80,38 +87,50 @@ impl ErrorKind {
         }))
         .expect("shim serialization is infallible")
     }
+}
 
-    /// Classify a CLI-side error message by the stable prefixes the
-    /// solver pipeline uses, so `main` can render the same envelope the
-    /// service would for the same failure. The race path tags pipeline
-    /// errors with a leading `solver-label: ` segment, so those two
-    /// prefixes are also recognized one segment in. Anything
-    /// unrecognized is a request problem — the CLI has no
-    /// transport-level failures.
-    pub fn classify(detail: &str) -> ErrorKind {
-        if detail.starts_with("unknown solver ") {
-            ErrorKind::UnknownSolver
-        } else if detail.starts_with("quota rule ") {
-            ErrorKind::QuotaDenied
-        } else if pipeline_prefix(detail, "placement failed") {
-            ErrorKind::Placement
-        } else if pipeline_prefix(detail, "solver produced an invalid schedule") {
-            ErrorKind::InvalidSchedule
-        } else {
-            ErrorKind::BadRequest
+/// A failed request: the typed kind (which fixes the HTTP status) plus
+/// the detail message that travels verbatim into the envelope.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Failure {
+    /// The failure class.
+    pub kind: ErrorKind,
+    /// The human-readable message.
+    pub detail: String,
+}
+
+impl Failure {
+    /// A failure of `kind` carrying `detail`.
+    pub fn new(kind: ErrorKind, detail: impl Into<String>) -> Failure {
+        Failure {
+            kind,
+            detail: detail.into(),
         }
     }
 }
 
-/// True when `detail` starts with the pipeline `prefix`, allowing at
-/// most one leading `label: ` segment (a race-roster solver name).
-fn pipeline_prefix(detail: &str, prefix: &str) -> bool {
-    if detail.starts_with(prefix) {
-        return true;
+impl From<String> for Failure {
+    fn from(detail: String) -> Failure {
+        Failure::new(ErrorKind::BadRequest, detail)
     }
-    detail
-        .split_once(": ")
-        .is_some_and(|(_, tail)| tail.starts_with(prefix))
+}
+
+impl From<&str> for Failure {
+    fn from(detail: &str) -> Failure {
+        Failure::new(ErrorKind::BadRequest, detail)
+    }
+}
+
+impl From<UnknownSolver> for Failure {
+    fn from(e: UnknownSolver) -> Failure {
+        Failure::new(ErrorKind::UnknownSolver, e.to_string())
+    }
+}
+
+impl From<Box<QuotaDenial>> for Failure {
+    fn from(denial: Box<QuotaDenial>) -> Failure {
+        Failure::new(ErrorKind::QuotaDenied, denial.to_string())
+    }
 }
 
 impl fmt::Display for ErrorKind {
@@ -166,38 +185,5 @@ mod tests {
             ErrorKind::BadRequest.envelope(r#"bad `eps`: "3/2""#),
             r#"{"error":{"kind":"bad-request","detail":"bad `eps`: \"3/2\""}}"#
         );
-    }
-
-    #[test]
-    fn cli_classifier_matches_the_pipeline_prefixes() {
-        let cases = [
-            (
-                "unknown solver `x` (valid names: a)",
-                ErrorKind::UnknownSolver,
-            ),
-            (
-                "quota rule alice/*/*{jobs<=1} denies jobs: in use 1 + requested 1 > 1",
-                ErrorKind::QuotaDenied,
-            ),
-            ("placement failed: level mismatch", ErrorKind::Placement),
-            (
-                "solver produced an invalid schedule: overcommit",
-                ErrorKind::InvalidSchedule,
-            ),
-            // Race-path errors carry the solver label up front.
-            (
-                "dual (eps=1/4): placement failed: level mismatch",
-                ErrorKind::Placement,
-            ),
-            (
-                "linear: solver produced an invalid schedule: overcommit",
-                ErrorKind::InvalidSchedule,
-            ),
-            ("`algo` must be a string", ErrorKind::BadRequest),
-            ("missing `instance`", ErrorKind::BadRequest),
-        ];
-        for (detail, kind) in cases {
-            assert_eq!(ErrorKind::classify(detail), kind, "{detail}");
-        }
     }
 }

@@ -7,8 +7,10 @@
 //! [`solve`] holds the request side ([`SolveRequest`], parsed
 //! identically from argv, an owned JSON tree, and the zero-copy
 //! borrowed tree), [`tenant`] the multi-tenant grammar (`tenant` blocks
-//! and `quotas` rule sets), and [`error`] the typed failure envelope
-//! every front end renders.
+//! and `quotas` rule sets), [`reply`] the response side (the typed
+//! replies of [`crate::pipeline`] and their one renderer), and
+//! [`error`] the typed [`Failure`] and the envelope every front end
+//! renders it as.
 //!
 //! Responses carry a `"schema"` field naming their version; versions
 //! are strictly additive, so a vN reader can parse a vN+1 body by
@@ -18,11 +20,12 @@
 //! the version a request elicits.
 
 pub mod error;
+pub mod reply;
 pub mod solve;
 pub mod tenant;
 
-pub use error::ErrorKind;
-pub use solve::{parse_solve_body, parse_solve_body_tree, SolveRequest};
+pub use error::{ErrorKind, Failure};
+pub use solve::{parse_eps, parse_solve_body, parse_solve_body_tree, SolveRequest};
 pub use tenant::{
     quotas_from_borrowed, quotas_from_json, quotas_from_str, tenant_from_borrowed,
     tenant_from_json, DEFAULT_WINDOW,

@@ -22,7 +22,6 @@
 //! equivalence oracle (`tests/proptest_zerocopy.rs` pins the two to
 //! byte-identical `Result`s on arbitrary bodies), never as a fallback.
 
-use crate::app::parse_eps;
 use crate::wire::tenant::{
     quotas_from_borrowed, quotas_from_json, quotas_from_str, tenant_from_borrowed,
     tenant_from_json,
@@ -271,6 +270,21 @@ impl SolveRequest {
             _ => Ok(()),
         }
     }
+}
+
+/// Parse `"N/D"` into a ratio in `(0, 1]` — shared by the service's
+/// `"eps"` field and the CLI `--eps` flag so the two front ends accept
+/// exactly the same grammar.
+pub fn parse_eps(raw: &str) -> Result<Ratio, String> {
+    let (num, den) = raw
+        .split_once('/')
+        .ok_or_else(|| format!("eps must be N/D, got `{raw}`"))?;
+    let num: u128 = num.parse().map_err(|_| "bad eps numerator".to_string())?;
+    let den: u128 = den.parse().map_err(|_| "bad eps denominator".to_string())?;
+    if num == 0 || den == 0 || Ratio::new(num, den) > Ratio::one() {
+        return Err("need 0 < eps <= 1".to_string());
+    }
+    Ok(Ratio::new(num, den))
 }
 
 /// Error text for a non-string `topology` field, shared by every parser.

@@ -18,10 +18,11 @@
 use moldable::core::io::InstanceSpec;
 use moldable::core::view::JobView;
 use moldable::prelude::*;
-use moldable::sched::baselines;
 use moldable::sched::batch;
-use moldable::sched::quotas::{Demand, QuotaEngine};
-use moldable::sched::solver::{race_roster, solver_by_name, SOLVER_NAMES};
+use moldable::sched::solver::{solver_by_name, SOLVER_NAMES};
+use moldable::svc::pipeline;
+use moldable::svc::wire::reply::{assignment_rows, push_field};
+use moldable::svc::{Failure, SolveRequest};
 use moldable::viz::render_gantt;
 use moldable::workloads::{
     FitModel, LublinParams, LublinSource, SwfSource, SwfTrace, SynthesisParams, WorkloadSource,
@@ -35,36 +36,35 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
+    let rest = &args[1..];
     let result = match cmd.as_str() {
-        "schedule" => cmd_schedule(&args[1..]),
-        "solve" => cmd_solve(&args[1..]),
-        "race" => cmd_race(&args[1..]),
-        "estimate" => cmd_estimate(&args[1..]),
-        "generate" => cmd_generate(&args[1..]),
-        "validate" => cmd_validate(&args[1..]),
-        "simulate" => cmd_simulate(&args[1..]),
-        "render" => cmd_render(&args[1..]),
+        "schedule" => cmd_schedule(rest),
+        "solve" => cmd_solve(rest),
+        "race" => cmd_race(rest),
+        "simulate" => cmd_simulate(rest),
+        "estimate" => cmd_estimate(rest).map_err(Failure::from),
+        "generate" => cmd_generate(rest).map_err(Failure::from),
+        "validate" => cmd_validate(rest).map_err(Failure::from),
+        "render" => cmd_render(rest).map_err(Failure::from),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             return ExitCode::SUCCESS;
         }
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
+        other => Err(format!("unknown command `{other}`\n{USAGE}").into()),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            // The same typed envelope the service puts in HTTP error
-            // bodies, classified from the identical detail strings —
-            // scripts parse one error shape from either front end.
-            let kind = moldable::svc::ErrorKind::classify(&e);
-            eprintln!("{}", kind.envelope(&e));
+        Err(failure) => {
+            // The service's error body. Failures are typed where they
+            // arise; plain `String` errors are `bad-request`.
+            eprintln!("{}", failure.kind.envelope(&failure.detail));
             ExitCode::FAILURE
         }
     }
 }
 
 const USAGE: &str = "usage:
-  moldable schedule --input FILE [--eps N/D] [--algo mrt|alg1|alg3|linear|fptas|ptas|two-approx] [--gantt]
+  moldable schedule --input FILE [--eps N/D] [--algo NAME] [--gantt]
   moldable solve    --input FILE [--algo mrt|alg1|alg3|linear|contiguous-73-50|fptas|ptas|two-approx|sequential|exact] [--eps N/D] [--place] [--topology SPEC] [--policy P] [--tenant SPEC] [--quotas JSON]
   moldable race     --input FILE [--eps N/D] [--place] [--check] [--threads N] [--topology SPEC] [--policy P] [--tenant SPEC] [--quotas JSON]
   moldable estimate --input FILE
@@ -76,9 +76,10 @@ const USAGE: &str = "usage:
   moldable simulate --model lublin --n N [--m M] [--seed S] [--gap SECONDS] [--users U] [--user-skew S] [--fit amdahl|downey] [--engine event|epoch] [--max-batch B] [--eps N/D] [--algo NAME] [--topology SPEC] [--policy P] [--fairshare on|off] [--half-life TICKS] [--report-users N]
   moldable render   --input FILE --schedule FILE --out FILE.svg [--width W] [--height H]
 
-topology SPEC is an arity product (\"64*2*32\" = nodes*sockets*cores) or
-explicit block lists (\"0-3|4-7;0-1|2-3|4-5|6-7\"); policy P is
-contiguous, packed[:LEVEL], or spread[:LEVEL] (default contiguous).
+NAME is any registry solver (the `solve --algo` list). topology SPEC is
+an arity product (\"64*2*32\" = nodes*sockets*cores) or explicit block
+lists (\"0-3|4-7;0-1|2-3|4-5|6-7\"); policy P is contiguous,
+packed[:LEVEL], or spread[:LEVEL] (default contiguous).
 tenant SPEC is user[/project[/class]] (missing parts default to
 \"default\"); --quotas takes the wire-format v4 quota-set object,
 e.g. '{\"rules\": [{\"user\": \"alice\", \"max_procs\": 8}]}'.";
@@ -98,42 +99,35 @@ fn load_instance(args: &[String]) -> Result<Instance, String> {
     let path = flag(args, "--input").ok_or("missing --input FILE")?;
     let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
     let spec: InstanceSpec = serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
-    spec.build().map_err(|e| e.to_string())
+    // The service's wording for the same rejection.
+    spec.build().map_err(|e| format!("invalid `instance`: {e}"))
 }
 
 /// `--eps` flag through the service's shared `(0, 1]` fraction grammar
-/// ([`moldable::svc::app::parse_eps`]) so CLI and HTTP front ends accept
-/// and reject identically.
+/// ([`moldable::svc::wire::parse_eps`]) so CLI and HTTP front ends
+/// accept and reject identically.
 fn parse_eps(args: &[String]) -> Result<Ratio, String> {
     let raw = flag(args, "--eps").unwrap_or_else(|| "1/4".into());
-    moldable::svc::app::parse_eps(&raw)
+    moldable::svc::wire::parse_eps(&raw)
 }
 
-fn cmd_schedule(args: &[String]) -> Result<(), String> {
+/// `schedule`: any registry solver, reported in the plain
+/// `{algo, makespan, total_work, assignments}` shape (with `--gantt`, an
+/// ASCII chart on stderr for m ≤ 128).
+fn cmd_schedule(args: &[String]) -> Result<(), Failure> {
     let inst = load_instance(args)?;
     let eps = parse_eps(args)?;
     let algo_name = flag(args, "--algo").unwrap_or_else(|| "linear".into());
-    let schedule = match algo_name.as_str() {
-        "two-approx" => baselines::two_approx(&inst),
-        "fptas" => fptas_schedule(&inst, &eps).schedule,
-        "ptas" => ptas_schedule(&inst, &eps).schedule,
-        name => {
-            let algo: Box<dyn DualAlgorithm> = match name {
-                "mrt" => Box::new(MrtDual),
-                "alg1" => Box::new(CompressibleDual::new(eps)),
-                "alg3" => Box::new(ImprovedDual::new(eps)),
-                "linear" => Box::new(ImprovedDual::new_linear(eps)),
-                other => return Err(format!("unknown --algo `{other}`")),
-            };
-            approximate(&inst, algo.as_ref(), &eps).schedule
-        }
-    };
+    let solver = solver_by_name(&algo_name, &eps)?;
+    let view = JobView::build(&inst);
+    pipeline::check_fits(solver.as_ref(), &view)?;
+    let schedule = solver.solve(&view, view.m()).schedule;
     validate(&schedule, &inst).map_err(|e| e.to_string())?;
     let out = json!({
         "algo": algo_name,
         "makespan": schedule.makespan(&inst).to_f64(),
         "total_work": schedule.total_work(&inst).to_string(),
-        "assignments": moldable::svc::app::assignment_rows(&inst, &schedule),
+        "assignments": assignment_rows(&inst, &schedule),
     });
     println!("{}", serde_json::to_string_pretty(&out).unwrap());
     if has_flag(args, "--gantt") && inst.m() <= 128 {
@@ -142,236 +136,69 @@ fn cmd_schedule(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Append a key to a `json!`-built object reply (the shim `Value` keeps
-/// insertion order, so optional fields always serialize last).
-fn push_field(value: &mut Value, key: &str, field: Value) {
-    match value {
-        Value::Object(fields) => fields.push((key.to_string(), field)),
-        _ => unreachable!("reports are built as objects"),
-    }
-}
-
-/// Attach a placement to a schedule when `--place` asked for one and the
-/// solver did not produce a native layer, mirroring the service handler.
-fn ensure_placement(
-    view: &JobView,
-    schedule: &mut Schedule,
-    label: Option<&str>,
-) -> Result<(), String> {
-    if schedule.placement.is_some() {
-        return Ok(());
-    }
-    let placement =
-        moldable::sched::place_contiguous(view, schedule).map_err(|e| match label {
-            Some(l) => format!("{l}: placement failed: {e}"),
-            None => format!("placement failed: {e}"),
-        })?;
-    schedule.placement = Some(placement);
-    Ok(())
-}
-
-/// Mirror the service's in-request admission check: a `--quotas` rule
-/// set is a self-declared cap, tested with the same demand the service
-/// would charge ("would this solve fit these rules on an idle
-/// cluster"). A denial travels through the typed
-/// `{"error": {"kind": "quota-denied", …}}` envelope on stderr.
-fn check_quotas(req: &moldable::svc::SolveRequest, inst: &Instance) -> Result<(), String> {
-    let (Some(tenant), Some(set)) = (&req.tenant, &req.quotas) else {
-        return Ok(());
-    };
-    let demand = Demand {
-        procs: inst.m(),
-        jobs: 1,
-        resource_seconds: inst.jobs().iter().map(|j| u128::from(j.time(1))).sum(),
-    };
-    QuotaEngine::new(set.clone())
-        .admit(tenant, &demand, 0)
-        .map(|_| ())
-        .map_err(|d| d.to_string())
-}
-
-/// `solve`: run any registry solver through the [`MakespanSolver`]
-/// facade and report its certificates alongside the schedule. `--place`
-/// adds the wire-format v2 `placements` rows (concrete processor sets);
-/// `--topology SPEC [--policy P]` lowers through the hierarchy-aware
-/// pipeline and emits the wire-format v3 fields through the service's
-/// own serializers, so the CI parity gate can diff the two front ends.
-fn cmd_solve(args: &[String]) -> Result<(), String> {
+/// Parse a `solve`/`race` invocation in the service's order: the
+/// instance, the shared request flags (the service's own
+/// [`SolveRequest`] grammar), then the topology-vs-m check.
+fn load_request(args: &[String]) -> Result<(Instance, SolveRequest), Failure> {
     let inst = load_instance(args)?;
-    let req = moldable::svc::SolveRequest::from_args(args, &Ratio::new(1, 4))?;
+    let req = SolveRequest::from_args(args, &Ratio::new(1, 4))?;
     req.check_topology(inst.m())?;
-    check_quotas(&req, &inst)?;
-    let solver = solver_by_name(&req.algo, &req.eps).map_err(|e| e.to_string())?;
-    let view = JobView::build(&inst);
-    if req.algo == "exact" && !moldable::sched::solver::ExactSolver::fits(&view) {
-        return Err(format!(
-            "instance too large for the exact solver (n ≤ {}, m ≤ {})",
-            moldable::sched::exact::EXACT_N_LIMIT,
-            moldable::sched::exact::EXACT_M_LIMIT
-        ));
-    }
-    let mut outcome = solver.solve(&view, view.m());
-    if let Some(topology) = &req.topology {
-        // A topology re-lowers even solver-provided placements — same
-        // rule as the service, so the two front ends answer alike.
-        let placement =
-            moldable::sched::place_with(&view, &outcome.schedule, topology, &req.policy)
-                .map_err(|e| format!("placement failed: {e}"))?;
-        outcome.schedule.placement = Some(placement);
-    } else if req.placements {
-        ensure_placement(&view, &mut outcome.schedule, None)?;
-    }
-    // The same prefix the service handler uses, so `ErrorKind::classify`
-    // files this under `invalid-schedule` on both front ends.
-    validate(&outcome.schedule, &inst)
-        .map_err(|e| format!("solver produced an invalid schedule: {e}"))?;
-    let mut out = json!({
-        "schema": req.schema(),
-        "algo": req.algo,
-        "solver": solver.name(),
-        "makespan": outcome.makespan.to_f64(),
-        "ratio_bound": outcome.ratio_bound.as_ref().map(Ratio::to_f64),
-        "opt_lower_bound": outcome.lower_bound,
-        "probes": outcome.probes,
-        "total_work": outcome.schedule.total_work(&inst).to_string(),
-        "assignments": moldable::svc::app::assignment_rows(&inst, &outcome.schedule),
-    });
-    if req.placements || req.topology.is_some() {
-        let placement = outcome.schedule.placement.as_ref().expect("placed above");
-        push_field(
-            &mut out,
-            "placements",
-            moldable::svc::app::placement_rows_on(placement, req.topology.as_ref()),
-        );
-    }
-    if let Some(topology) = &req.topology {
-        let placement = outcome.schedule.placement.as_ref().expect("placed above");
-        push_field(
-            &mut out,
-            "topology",
-            moldable::svc::app::topology_rows(topology),
-        );
-        push_field(
-            &mut out,
-            "policy",
-            Value::String(req.policy.label(topology)),
-        );
-        push_field(
-            &mut out,
-            "fragmentation",
-            moldable::svc::app::fragmentation_summary(topology, placement),
-        );
-    }
-    if let Some(tenant) = &req.tenant {
-        push_field(&mut out, "tenant", moldable::svc::app::tenant_echo(tenant));
-    }
+    Ok((inst, req))
+}
+
+/// `solve`: one registry solver through the request pipeline the
+/// service runs, printed as the `/v1/solve` reply plus the CLI-only
+/// `total_work`. `--place` adds the wire-format v2 `placements` rows;
+/// `--topology SPEC [--policy P]` the v3 fields; `--tenant` the v4 echo.
+fn cmd_solve(args: &[String]) -> Result<(), Failure> {
+    let (inst, req) = load_request(args)?;
+    let solver = pipeline::resolve(&req)?;
+    pipeline::admit_in_request(&req, &pipeline::demand(&inst), 0)?;
+    let reply = pipeline::run(&req, &inst, solver.as_ref())?;
+    let mut out = reply.to_value();
+    let total_work = reply.outcome.schedule.total_work(&inst).to_string();
+    push_field(&mut out, "total_work", json!(total_work));
     println!("{}", serde_json::to_string_pretty(&out).unwrap());
     Ok(())
 }
 
 /// `race`: every applicable registry solver on one instance through the
-/// batch engine. With `--check`, exit non-zero if any solver's makespan
-/// exceeds its proven ratio bound against the factor-2 estimator
-/// (makespan ≤ bound · 2ω must hold because OPT ≤ 2ω) — the CI
-/// solver-parity gate.
-fn cmd_race(args: &[String]) -> Result<(), String> {
-    let inst = load_instance(args)?;
-    let req = moldable::svc::SolveRequest::from_args(args, &Ratio::new(1, 4))?;
-    req.check_topology(inst.m())?;
-    check_quotas(&req, &inst)?;
-    let eps = req.eps;
+/// batch engine, printed as the `/v1/race` reply plus the CLI-only
+/// `threads` and per-row `wall_seconds`. With `--check`, exit non-zero
+/// if any solver's makespan exceeds its proven ratio bound against the
+/// factor-2 estimator (makespan ≤ bound · 2ω must hold because
+/// OPT ≤ 2ω) — the CI solver-parity gate.
+fn cmd_race(args: &[String]) -> Result<(), Failure> {
+    let (inst, req) = load_request(args)?;
+    pipeline::admit_in_request(&req, &pipeline::demand(&inst), 0)?;
     let threads: usize = flag(args, "--threads")
         .map(|s| s.parse().map_err(|_| "bad --threads"))
         .transpose()?
         .unwrap_or_else(|| batch::default_threads(SOLVER_NAMES.len()));
-    let view = JobView::build(&inst);
-    let omega = moldable::sched::estimate_view(&view).omega;
-    let solvers = race_roster(&view, &eps);
-    let results = batch::race(&solvers, &view, threads);
-    let mut violations: Vec<String> = Vec::new();
-    let rows: Vec<Value> = results
-        .iter()
-        .map(|r| {
-            let mut schedule = r.outcome.schedule.clone();
-            if let Some(topology) = &req.topology {
-                let placement =
-                    moldable::sched::place_with(&view, &schedule, topology, &req.policy)
-                        .map_err(|e| format!("{}: placement failed: {e}", r.label))?;
-                schedule.placement = Some(placement);
-            } else if req.placements {
-                ensure_placement(&view, &mut schedule, Some(&r.label))?;
-            }
-            validate(&schedule, &inst).map_err(|e| {
-                format!("{}: solver produced an invalid schedule: {e}", r.label)
-            })?;
-            let bound_ok = r.outcome.ratio_bound.as_ref().map(|b| {
-                let cap = b.mul_int(2 * omega as u128);
-                let ok = r.outcome.makespan <= cap;
-                if !ok {
-                    violations.push(format!(
-                        "{}: makespan {} exceeds {} · 2ω = {}",
-                        r.label, r.outcome.makespan, b, cap
-                    ));
-                }
-                ok
-            });
-            let mut row = json!({
-                "solver": r.label,
-                "makespan": r.outcome.makespan.to_f64(),
-                "ratio_bound": r.outcome.ratio_bound.as_ref().map(Ratio::to_f64),
-                "bound_holds_vs_2omega": bound_ok,
-                "probes": r.outcome.probes,
-                "wall_seconds": r.wall.as_secs_f64(),
-            });
-            if req.placements || req.topology.is_some() {
-                let placement = schedule.placement.as_ref().expect("placed above");
-                push_field(
-                    &mut row,
-                    "placements",
-                    moldable::svc::app::placement_rows_on(placement, req.topology.as_ref()),
-                );
-            }
-            if let Some(topology) = &req.topology {
-                let placement = schedule.placement.as_ref().expect("placed above");
-                push_field(
-                    &mut row,
-                    "fragmentation",
-                    moldable::svc::app::fragmentation_summary(topology, placement),
-                );
-            }
-            Ok(row)
-        })
-        .collect::<Result<_, String>>()?;
-    let mut out = json!({
-        "schema": req.schema(),
-        "n": inst.n(),
-        "m": inst.m(),
-        "eps": eps.to_f64(),
-        "omega": omega,
-        "threads": threads,
+    let reply = pipeline::run_race(&req, &inst, threads)?;
+    let mut out = reply.to_value_with(|r, row| {
+        push_field(row, "wall_seconds", json!(r.wall.as_secs_f64()));
     });
-    if let Some(topology) = &req.topology {
-        push_field(
-            &mut out,
-            "topology",
-            moldable::svc::app::topology_rows(topology),
-        );
-        push_field(
-            &mut out,
-            "policy",
-            Value::String(req.policy.label(topology)),
-        );
-    }
-    push_field(&mut out, "results", Value::Array(rows));
-    if let Some(tenant) = &req.tenant {
-        push_field(&mut out, "tenant", moldable::svc::app::tenant_echo(tenant));
-    }
+    push_field(&mut out, "threads", json!(threads));
     println!("{}", serde_json::to_string_pretty(&out).unwrap());
-    if has_flag(args, "--check") && !violations.is_empty() {
-        return Err(format!(
-            "solver-parity check failed:\n  {}",
-            violations.join("\n  ")
-        ));
+    if has_flag(args, "--check") {
+        let violations: Vec<String> = reply
+            .results
+            .iter()
+            .filter(|r| reply.bound_holds(r) == Some(false))
+            .map(|r| {
+                let bound = r.outcome.ratio_bound.as_ref().expect("only bounds fail");
+                let (makespan, cap) = (&r.outcome.makespan, reply.cap(bound));
+                format!(
+                    "{}: makespan {makespan} exceeds {bound} · 2ω = {cap}",
+                    r.label
+                )
+            })
+            .collect();
+        if !violations.is_empty() {
+            let list = violations.join("\n  ");
+            return Err(format!("solver-parity check failed:\n  {list}").into());
+        }
     }
     Ok(())
 }
@@ -500,7 +327,7 @@ fn cmd_validate(args: &[String]) -> Result<(), String> {
 fn online_solver(
     args: &[String],
     eps: &Ratio,
-) -> Result<(String, Box<dyn moldable::sched::solver::MakespanSolver>), String> {
+) -> Result<(String, Box<dyn moldable::sched::solver::MakespanSolver>), Failure> {
     let algo_name = flag(args, "--algo").unwrap_or_else(|| "linear".into());
     if algo_name == "exact" {
         return Err(
@@ -509,7 +336,7 @@ fn online_solver(
                 .into(),
         );
     }
-    let solver = solver_by_name(&algo_name, eps).map_err(|e| e.to_string())?;
+    let solver = solver_by_name(&algo_name, eps)?;
     Ok((algo_name, solver))
 }
 
@@ -623,7 +450,7 @@ fn stream_fragmentation_json(frag: &moldable::sim::StreamFragmentation) -> Value
 /// event-driven engine (or, with `--engine epoch`, the batch epoch
 /// scheme for cross-checking). Metrics are computed online; no per-job
 /// data is buffered on the `event` path.
-fn cmd_simulate_stream(args: &[String]) -> Result<(), String> {
+fn cmd_simulate_stream(args: &[String]) -> Result<(), Failure> {
     let eps = parse_eps(args)?;
     let (algo_name, solver) = online_solver(args, &eps)?;
     let engine = flag(args, "--engine").unwrap_or_else(|| "event".into());
@@ -678,7 +505,7 @@ fn cmd_simulate_stream(args: &[String]) -> Result<(), String> {
         params.fit_model = match flag(args, "--fit").as_deref() {
             Some("amdahl") => FitModel::Amdahl,
             Some("downey") | None => FitModel::Downey,
-            Some(other) => return Err(format!("unknown --fit `{other}`")),
+            Some(other) => return Err(format!("unknown --fit `{other}`").into()),
         };
         Box::new(LublinSource::new(params))
     } else if flag(args, "--trace").is_some() {
@@ -782,7 +609,7 @@ fn cmd_simulate_stream(args: &[String]) -> Result<(), String> {
                 "fairness": fairness_json(&fairness, report_users),
             })
         }
-        other => return Err(format!("unknown --engine `{other}` (event|epoch)")),
+        other => return Err(format!("unknown --engine `{other}` (event|epoch)").into()),
     };
     println!("{}", serde_json::to_string_pretty(&report).unwrap());
     Ok(())
@@ -790,7 +617,7 @@ fn cmd_simulate_stream(args: &[String]) -> Result<(), String> {
 
 /// `simulate --trace`: replay an SWF trace's arrival stream through the
 /// epoch-based online scheme and report what an operator would see.
-fn cmd_simulate_trace(args: &[String]) -> Result<(), String> {
+fn cmd_simulate_trace(args: &[String]) -> Result<(), Failure> {
     let source = swf_source(args)?;
     let m = source.machine_count();
     let eps = parse_eps(args)?;
@@ -829,7 +656,7 @@ fn cmd_simulate_trace(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_simulate(args: &[String]) -> Result<(), String> {
+fn cmd_simulate(args: &[String]) -> Result<(), Failure> {
     // Streaming paths: the Lublin–Feitelson model, any source driven
     // through an explicit --engine choice, or a topology-aware replay
     // (only the streaming engine lowers placements).

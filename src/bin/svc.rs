@@ -22,7 +22,7 @@
 //! "Service front-end".
 
 use moldable::sched::batch;
-use moldable::svc::app::parse_eps;
+use moldable::svc::wire::parse_eps;
 use moldable::svc::{AppConfig, ServerConfig, ShardedServer};
 use serde_json::json;
 use std::process::ExitCode;
