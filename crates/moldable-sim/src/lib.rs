@@ -15,18 +15,14 @@
 //!   satisfiable, and records a full execution [`trace`];
 //! * [`online`] — an online list-scheduling executor: jobs with fixed
 //!   allotments are dispatched greedily whenever enough processors are
-//!   free (the Garey–Graham discipline used by the paper's estimator);
-//! * [`backfill`] — conservative EASY backfilling against the head job's
-//!   reservation, the production-HPC refinement of plain FIFO;
-//! * [`arrivals`] — epoch-based batch scheduling of an arrival stream
-//!   using any offline planner (the classic online-from-offline scheme),
-//!   plus [`TraceReplay`], the deterministic arrival process that replays
-//!   recorded (e.g. SWF) traces;
-//! * [`stream`] — the streaming, event-driven incarnation of the epoch
-//!   scheme: jobs consumed lazily from an iterator, bounded pending-queue
-//!   snapshots planned through the [`MakespanSolver`] facade, per-job
-//!   observations emitted incrementally — memory `O(pending)`, not
-//!   `O(stream)`, so million-job sources fit;
+//!   free (the Garey–Graham discipline used by the paper's estimator),
+//!   the independent oracle the list-scheduling tests compare against;
+//! * [`stream`] — the online-from-offline epoch scheme as one
+//!   event-driven engine: jobs consumed lazily from an iterator (recorded
+//!   SWF traces and synthetic models alike), pending-queue snapshots
+//!   planned through the [`MakespanSolver`] facade, per-job observations
+//!   emitted incrementally — memory `O(pending)`, not `O(stream)`, so
+//!   million-job sources fit;
 //! * [`trace`] — per-processor timelines, utilization statistics, and
 //!   machine-load profiles;
 //! * [`metrics`] — aggregate statistics (utilization, average waiting time,
@@ -45,8 +41,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod arrivals;
-pub mod backfill;
 pub mod engine;
 pub mod executor;
 pub mod metrics;
@@ -54,20 +48,15 @@ pub mod online;
 pub mod stream;
 pub mod trace;
 
-pub use arrivals::{
-    clairvoyant_lower_bound, run_epochs, run_epochs_solver, ArrivingJob, Epoch, EpochOutcome,
-    TraceReplay,
-};
-pub use backfill::{backfill_schedule, BackfillOutcome};
 pub use engine::{Event, EventKind, SimError};
 pub use executor::{execute, Execution};
 pub use metrics::{
-    observations_from_epochs, ClusterMetrics, FairnessReport, JobMetrics, JobObservation,
-    RunningFairness, RunningSum, UserFairness,
+    ClusterMetrics, FairnessReport, JobMetrics, JobObservation, RunningFairness, RunningSum,
+    UserFairness,
 };
 pub use online::{online_list_schedule, OnlineOutcome};
 pub use stream::{
-    run_stream, FairshareOptions, LevelTrend, StreamFragmentation, StreamJob, StreamOptions,
-    StreamOutcome,
+    clairvoyant_lower_bound, push_epoch_row, run_stream, EpochRow, FairshareOptions,
+    LevelTrend, StreamFragmentation, StreamJob, StreamOptions, StreamOutcome,
 };
 pub use trace::{ProcessorTimeline, Segment, Trace};

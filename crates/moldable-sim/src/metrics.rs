@@ -97,6 +97,8 @@ impl ClusterMetrics {
 /// its weight (sequential work `w_j(1)`, the weighted-flow weight).
 #[derive(Clone, Debug)]
 pub struct JobObservation {
+    /// The planning epoch that ran the job, from 0.
+    pub epoch: u64,
     /// Submitting user (SWF user id; `-1` when unknown).
     pub user: i64,
     /// Release time.
@@ -291,34 +293,6 @@ impl RunningFairness {
     }
 }
 
-/// Build fairness observations from an epoch run: `stream` and `users`
-/// are aligned by index (pass `&[]` or all `-1` users when identities
-/// are unknown), `outcome` supplies the per-job completions, `m` the
-/// cluster size for the ideal times.
-pub fn observations_from_epochs(
-    stream: &[crate::arrivals::ArrivingJob],
-    users: &[i64],
-    outcome: &crate::arrivals::EpochOutcome,
-    m: u64,
-) -> Vec<JobObservation> {
-    assert_eq!(stream.len(), outcome.completions.len());
-    stream
-        .iter()
-        .enumerate()
-        .map(|(i, a)| {
-            let ideal = a.curve.time(m).max(1);
-            JobObservation {
-                user: users.get(i).copied().unwrap_or(-1),
-                arrival: Ratio::from(a.arrival),
-                completion: outcome.completions[i],
-                ideal_time: Ratio::from(ideal),
-                weight: a.curve.time(1) as u128,
-                placed: outcome.placements.get(i).cloned().flatten(),
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -373,6 +347,7 @@ mod tests {
         // (stretch 1), user 2 a small job that waits (stretch 3).
         let obs = vec![
             JobObservation {
+                epoch: 0,
                 user: 1,
                 arrival: Ratio::zero(),
                 completion: Ratio::from(10u64),
@@ -381,6 +356,7 @@ mod tests {
                 placed: None,
             },
             JobObservation {
+                epoch: 0,
                 user: 2,
                 arrival: Ratio::from(2u64),
                 completion: Ratio::from(8u64),
@@ -409,6 +385,7 @@ mod tests {
     fn running_fairness_matches_buffered_report() {
         let obs: Vec<JobObservation> = (0..50)
             .map(|i| JobObservation {
+                epoch: 0,
                 user: i % 7,
                 arrival: Ratio::from(i as u64),
                 completion: Ratio::from(3 * i as u64 + 5),
@@ -441,40 +418,6 @@ mod tests {
         let report = FairnessReport::from_observations(&[]);
         assert_eq!(report.max_stretch, Ratio::zero());
         assert!(report.users.is_empty());
-    }
-
-    #[test]
-    fn observations_align_with_epoch_completions() {
-        use crate::arrivals::{run_epochs, ArrivingJob};
-        use moldable_sched::ImprovedDual;
-        // Job 0 (user 7) runs [0, 10); job 1 (user 8) arrives at 1,
-        // waits for the epoch, runs [10, 13).
-        let stream = vec![
-            ArrivingJob {
-                curve: SpeedupCurve::Constant(10),
-                arrival: 0,
-            },
-            ArrivingJob {
-                curve: SpeedupCurve::Constant(3),
-                arrival: 1,
-            },
-        ];
-        let eps = Ratio::new(1, 4);
-        let out = run_epochs(&stream, 2, &ImprovedDual::new_linear(eps), &eps).unwrap();
-        assert_eq!(
-            out.completions,
-            vec![Ratio::from(10u64), Ratio::from(13u64)]
-        );
-        let obs = observations_from_epochs(&stream, &[7, 8], &out, 2);
-        assert_eq!(obs[0].user, 7);
-        assert_eq!(obs[0].stretch(), Ratio::one());
-        // Job 1: flow = 13 − 1 = 12, ideal 3 → stretch 4.
-        assert_eq!(obs[1].stretch(), Ratio::from(4u64));
-        let report = FairnessReport::from_observations(&obs);
-        assert_eq!(report.max_stretch, Ratio::from(4u64));
-        // Unknown users default to −1.
-        let anon = observations_from_epochs(&stream, &[], &out, 2);
-        assert!(anon.iter().all(|o| o.user == -1));
     }
 
     #[test]

@@ -1,11 +1,17 @@
 //! Streaming, event-driven simulation of unbounded arrival streams.
 //!
-//! [`crate::arrivals::run_epochs`] is a *batch* front-end: it takes the
-//! whole arrival stream as a slice, keeps every execution trace, and
-//! returns a completion vector indexed by stream position — all `O(n)`
-//! memory, which caps online experiments far below the million-job
-//! regimes of the Feitelson trace literature. This module is the
-//! streaming incarnation of the same epoch discipline:
+//! The paper solves the *offline* problem: all jobs known at time zero.
+//! A cluster front-end faces a stream of arrivals, and the classic
+//! reduction runs the offline algorithm in **epochs**: collect arrivals
+//! while the current batch runs, then plan the queue as a fresh offline
+//! instance and run it to completion. If the planner is
+//! `c`-approximate, the epoch scheme is `2c`-competitive against the
+//! optimal clairvoyant schedule — each batch finishes within
+//! `c·OPT_batch`, and any batch's optimum is at most the clairvoyant
+//! makespan plus the previous epoch's length ([`clairvoyant_lower_bound`]
+//! is the comparison point).
+//!
+//! [`run_stream`] is the simulator's one implementation of that scheme:
 //!
 //! * jobs are consumed **lazily** from an iterator (one look-ahead job is
 //!   held at a time), so a generator-backed source never materializes
@@ -13,23 +19,21 @@
 //! * a binary-heap event loop drives three event kinds — job
 //!   **completions**, job **arrivals**, and **re-plan** triggers — over
 //!   exact rational timestamps;
-//! * each re-plan snapshots a bounded prefix of the pending queue
-//!   ([`StreamOptions::max_batch`]), plans it through any
-//!   [`MakespanSolver`] from the facade, and discards the batch's
-//!   instance, view, and trace as soon as its completion events are
-//!   queued;
+//! * each re-plan snapshots the pending queue — all of it by default,
+//!   or a bounded prefix ([`StreamOptions::max_batch`]) — plans it
+//!   through any [`MakespanSolver`] from the facade, and discards the
+//!   batch's instance, view, and trace as soon as its completion events
+//!   are queued;
 //! * per-job [`JobObservation`]s are emitted **incrementally**, in
 //!   completion-time order, to a caller-supplied sink, and fairness is
 //!   folded online through [`RunningFairness`] — nothing accumulates
-//!   with stream length.
+//!   with stream length. Callers that want the per-epoch table fold the
+//!   observations with [`push_epoch_row`].
 //!
 //! Memory is `O(pending + running + #users)`: the pending queue, the
-//! in-flight batch's events, and the per-user fairness state. With an
-//! unbounded `max_batch` the engine reproduces [`run_epochs`] *exactly* —
-//! same batches, same planner calls, same completion times
-//! (`tests/stream_equivalence.rs` pins this across solvers).
-//!
-//! [`run_epochs`]: crate::arrivals::run_epochs
+//! in-flight batch's events, and the per-user fairness state.
+//! `tests/stream_equivalence.rs` pins the unbounded engine against a
+//! plain epoch loop kept there as a reference.
 
 use crate::engine::SimError;
 use crate::executor::execute;
@@ -71,23 +75,15 @@ impl StreamJob {
     }
 }
 
-impl From<crate::arrivals::ArrivingJob> for StreamJob {
-    fn from(a: crate::arrivals::ArrivingJob) -> Self {
-        StreamJob::untagged(a.curve, a.arrival)
-    }
-}
-
 /// Knobs of the streaming engine.
 #[derive(Clone, Debug, Default)]
 pub struct StreamOptions {
     /// Largest pending-queue snapshot handed to the planner per re-plan
     /// (FIFO prefix; the rest stays queued for the next epoch). `None`
-    /// plans the whole pending set — the exact [`run_epochs`] discipline.
+    /// plans the whole pending set — the plain epoch discipline.
     /// Overloaded streams grow their pending queue without bound either
     /// way; the cap bounds the *planner's* per-epoch cost, which is what
     /// keeps million-job runs tractable.
-    ///
-    /// [`run_epochs`]: crate::arrivals::run_epochs
     pub max_batch: Option<usize>,
     /// Lower every epoch's schedule onto this processor hierarchy
     /// (leaves must cover exactly `m`). The engine then carries one
@@ -221,8 +217,7 @@ impl StreamFragmentation {
 
 /// Event ranks at equal timestamps. Completions fire first (processors
 /// and statistics settle), then arrivals (a job arriving exactly at an
-/// epoch boundary joins the next batch — the `run_epochs` contract),
-/// then the re-plan trigger.
+/// epoch boundary joins the next batch), then the re-plan trigger.
 const RANK_DONE: u8 = 0;
 const RANK_ARRIVAL: u8 = 1;
 const RANK_REPLAN: u8 = 2;
@@ -232,6 +227,7 @@ const RANK_REPLAN: u8 = 2;
 #[derive(Clone, Debug)]
 struct DoneInfo {
     index: u64,
+    epoch: u64,
     user: i64,
     arrival: Ratio,
     ideal: Time,
@@ -364,6 +360,7 @@ where
             RANK_DONE => {
                 let d = ev.done.expect("completion events carry their job");
                 let obs = JobObservation {
+                    epoch: d.epoch,
                     user: d.user,
                     arrival: d.arrival,
                     completion: clock,
@@ -515,6 +512,7 @@ where
                 for (local, (index, sj)) in batch.iter().enumerate() {
                     let info = DoneInfo {
                         index: *index,
+                        epoch: epochs,
                         user: sj.user,
                         arrival: Ratio::from(sj.arrival),
                         ideal: sj.curve.time(m).max(1),
@@ -553,11 +551,70 @@ where
     })
 }
 
+/// One planning epoch of a run, folded from its jobs' observations by
+/// [`push_epoch_row`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct EpochRow {
+    /// The epoch's index, from 0 ([`JobObservation::epoch`]).
+    pub index: u64,
+    /// Jobs the epoch planned.
+    pub jobs: usize,
+    /// The later of the previous epoch's end and the epoch's latest
+    /// arrival: the instant the epoch discipline re-planned.
+    pub start: Ratio,
+    /// The epoch's latest completion.
+    pub end: Ratio,
+}
+
+/// Fold one observation into the epoch table `rows`. Feed observations
+/// in the order [`run_stream`]'s sink receives them: completion order,
+/// in which each epoch's jobs come together.
+pub fn push_epoch_row(rows: &mut Vec<EpochRow>, obs: &JobObservation) {
+    match rows.last_mut() {
+        Some(row) if row.index == obs.epoch => {
+            row.jobs += 1;
+            row.start = row.start.max(obs.arrival);
+            row.end = row.end.max(obs.completion);
+        }
+        last => {
+            let previous_end = last.map_or_else(Ratio::zero, |row| row.end);
+            rows.push(EpochRow {
+                index: obs.epoch,
+                jobs: 1,
+                start: previous_end.max(obs.arrival),
+                end: obs.completion,
+            });
+        }
+    }
+}
+
+/// Lower bound on the clairvoyant optimum of an arrival stream: the best
+/// possible completion is at least the last arrival plus that job's
+/// fastest processing time, and at least the offline bound of the whole
+/// job set released at once.
+pub fn clairvoyant_lower_bound(stream: &[StreamJob], m: Procs) -> Ratio {
+    let Some(release_bound) = stream
+        .iter()
+        .map(|sj| Ratio::from(sj.arrival).add(&Ratio::from(sj.curve.time(m))))
+        .max()
+    else {
+        return Ratio::zero();
+    };
+    let jobs: Vec<Job> = stream
+        .iter()
+        .enumerate()
+        .map(|(i, sj)| Job::new(i as JobId, sj.curve.clone()))
+        .collect();
+    let inst = Instance::from_jobs(jobs, m);
+    let offline = Ratio::from(moldable_core::bounds::parametric_lower_bound(&inst));
+    release_bound.max(offline)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arrivals::{run_epochs_solver, ArrivingJob};
     use moldable_sched::solver::solver_by_name;
+    use moldable_sched::{DualAlgorithm, ImprovedDual};
 
     fn solver() -> Box<dyn MakespanSolver> {
         solver_by_name("linear", &Ratio::new(1, 4)).unwrap()
@@ -597,49 +654,156 @@ mod tests {
         assert_eq!(out.epochs, 0);
         assert_eq!(out.makespan, Ratio::zero());
         assert_eq!(out.peak_pending, 0);
+        assert_eq!(clairvoyant_lower_bound(&[], 4), Ratio::zero());
+    }
+
+    /// The outcome, the epoch table, and every observation in stream
+    /// order, of an unbounded run.
+    fn epochs(
+        stream: &[StreamJob],
+        m: Procs,
+        solver: &dyn MakespanSolver,
+    ) -> (StreamOutcome, Vec<EpochRow>, Vec<JobObservation>) {
+        let mut rows = Vec::new();
+        let mut observed = Vec::new();
+        let out = run_stream(
+            stream.to_vec(),
+            m,
+            solver,
+            &StreamOptions::default(),
+            |i, o| {
+                push_epoch_row(&mut rows, o);
+                observed.push((i, o.clone()));
+            },
+        )
+        .unwrap();
+        observed.sort_by_key(|(i, _)| *i);
+        (out, rows, observed.into_iter().map(|(_, o)| o).collect())
     }
 
     #[test]
-    fn matches_run_epochs_on_mixed_streams() {
-        // Late arrivals, idle gaps, same-instant bursts — the equivalence
-        // corpus of arrival patterns, checked completion-by-completion.
-        let corpora: Vec<Vec<(u64, u64)>> = vec![
-            vec![(0, 4), (0, 4), (0, 4), (0, 4)],
-            vec![(0, 10), (1, 3)],
-            vec![(0, 2), (100, 2)],
-            vec![(5, 7), (5, 3), (5, 9), (6, 1), (40, 2), (40, 2)],
-            vec![(0, 1), (1, 1), (2, 1), (3, 1), (4, 1)],
-        ];
-        for spec in corpora {
-            let stream = jobs(&spec);
-            let arriving: Vec<ArrivingJob> = spec
+    fn single_batch_when_all_arrive_at_zero() {
+        let (out, rows, _) = epochs(&jobs(&[(0, 4); 4]), 4, solver().as_ref());
+        assert_eq!(out.epochs, 1);
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].jobs, 4);
+        // OPT = 4 (one wave); the (3/2+ε)(1+ε) planner may use two waves
+        // but must stay within its certified envelope.
+        assert!(out.makespan >= Ratio::from(4u64));
+        assert!(out.makespan <= Ratio::from(9u64), "{}", out.makespan);
+    }
+
+    #[test]
+    fn late_arrival_forms_second_epoch() {
+        // Job 1 arrives while epoch 0 (job 0) runs → planned afterwards.
+        let (out, rows, observed) = epochs(&jobs(&[(0, 10), (1, 3)]), 2, solver().as_ref());
+        assert_eq!(out.epochs, 2);
+        assert_eq!(
+            rows,
+            vec![
+                EpochRow {
+                    index: 0,
+                    jobs: 1,
+                    start: Ratio::zero(),
+                    end: Ratio::from(10u64),
+                },
+                EpochRow {
+                    index: 1,
+                    jobs: 1,
+                    start: Ratio::from(10u64),
+                    end: Ratio::from(13u64),
+                },
+            ]
+        );
+        assert_eq!(observed[0].epoch, 0);
+        assert_eq!(observed[1].epoch, 1);
+        assert_eq!(out.makespan, Ratio::from(13u64));
+    }
+
+    #[test]
+    fn idle_gap_jumps_to_next_arrival() {
+        let (out, rows, _) = epochs(&jobs(&[(0, 2), (100, 2)]), 2, solver().as_ref());
+        assert_eq!(out.epochs, 2);
+        assert_eq!(rows[1].start, Ratio::from(100u64));
+        assert_eq!(out.makespan, Ratio::from(102u64));
+    }
+
+    #[test]
+    fn competitive_envelope_on_random_streams() {
+        // The epoch scheme with a (3/2+ε)(1+ε) planner: makespan within
+        // 2·c·OPT of the clairvoyant lower bound (generous envelope 2c+1).
+        let mut seed = 0xA881_0001u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let eps = Ratio::new(1, 4);
+        let planner = solver_by_name("linear", &eps).unwrap();
+        let c = ImprovedDual::new_linear(eps)
+            .guarantee()
+            .mul(&eps.one_plus());
+        for trial in 0..10 {
+            let n = 12 + (next() % 8) as usize;
+            let mut arrivals: Vec<u64> = (0..n).map(|_| next() % 60).collect();
+            arrivals.sort_unstable();
+            let s: Vec<StreamJob> = arrivals
                 .iter()
-                .map(|&(arrival, t1)| ArrivingJob {
-                    curve: SpeedupCurve::Constant(t1),
-                    arrival,
-                })
+                .map(|&a| StreamJob::untagged(SpeedupCurve::Constant(next() % 20 + 1), a))
                 .collect();
-            for m in [1u64, 2, 4] {
-                let s = solver();
-                let epoch = run_epochs_solver(&arriving, m, s.as_ref()).unwrap();
-                let got = completions(&stream, m, &StreamOptions::default());
-                assert_eq!(got.len(), epoch.completions.len(), "{spec:?} m={m}");
-                for (i, (idx, c)) in got.iter().enumerate() {
-                    assert_eq!(*idx, i as u64);
-                    assert_eq!(*c, epoch.completions[i], "{spec:?} m={m} job {i}");
-                }
-                let out = run_stream(
-                    stream.clone(),
-                    m,
-                    s.as_ref(),
-                    &StreamOptions::default(),
-                    |_, _| {},
-                )
-                .unwrap();
-                assert_eq!(out.makespan, epoch.makespan, "{spec:?} m={m}");
-                assert_eq!(out.epochs as usize, epoch.epochs.len(), "{spec:?} m={m}");
+            let (out, rows, _) = epochs(&s, 4, planner.as_ref());
+            let lb = clairvoyant_lower_bound(&s, 4);
+            let envelope = c.mul_int(2).add(&Ratio::one()).mul(&lb);
+            assert!(
+                out.makespan <= envelope,
+                "trial {trial}: {} > (2c+1)·lb = {}",
+                out.makespan,
+                envelope
+            );
+            // Epochs tile the timeline without overlap.
+            for w in rows.windows(2) {
+                assert!(w[0].end <= w[1].start);
             }
         }
+    }
+
+    #[test]
+    fn placements_thread_through_epochs() {
+        // The linear planner's three-shelf construction emits a native
+        // placement; every stream job must surface its processor set,
+        // sized to the allotment (constant curves: always 1 machine or
+        // more, never empty).
+        let (_, _, observed) = epochs(&jobs(&[(0, 6), (0, 6), (9, 3)]), 2, solver().as_ref());
+        assert_eq!(observed.len(), 3);
+        for (i, o) in observed.iter().enumerate() {
+            let set = o
+                .placed
+                .as_ref()
+                .unwrap_or_else(|| panic!("job {i} unplaced"));
+            assert!(!set.is_empty());
+            assert!(set.max().unwrap() < 2);
+        }
+    }
+
+    #[test]
+    fn observations_align_with_epoch_completions() {
+        // Job 0 (user 7) runs [0, 10); job 1 (user 8) arrives at 1,
+        // waits for the epoch, runs [10, 13).
+        let mut stream = jobs(&[(0, 10), (1, 3)]);
+        stream[0].user = 7;
+        stream[1].user = 8;
+        let (out, _, observed) = epochs(&stream, 2, solver().as_ref());
+        let completions: Vec<Ratio> = observed.iter().map(|o| o.completion).collect();
+        assert_eq!(completions, vec![Ratio::from(10u64), Ratio::from(13u64)]);
+        assert_eq!(observed[0].user, 7);
+        assert_eq!(observed[0].stretch(), Ratio::one());
+        // Job 1: flow = 13 − 1 = 12, ideal 3 → stretch 4.
+        assert_eq!(observed[1].stretch(), Ratio::from(4u64));
+        assert_eq!(out.fairness.max_stretch, Ratio::from(4u64));
+        // Untagged jobs report user −1.
+        let (_, _, anon) = epochs(&jobs(&[(0, 10), (1, 3)]), 2, solver().as_ref());
+        assert!(anon.iter().all(|o| o.user == -1));
     }
 
     #[test]
@@ -707,6 +871,11 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, SimError::UnsortedStream { index: 2 });
+        assert_eq!(
+            err.to_string(),
+            "arrival stream not sorted: job 2 arrives before its predecessor \
+             (sort the jobs by arrival before streaming them)"
+        );
     }
 
     #[test]
@@ -893,41 +1062,5 @@ mod tests {
         // Fair-share schedules user 1 right after the first long job
         // completes (the earliest epoch where user 0 has any history).
         assert_eq!(fair, Ratio::from(11u64));
-    }
-
-    #[test]
-    fn fairness_matches_epoch_observations() {
-        use crate::metrics::observations_from_epochs;
-        let spec = [(0u64, 10u64), (1, 3), (1, 5), (20, 2)];
-        let stream: Vec<StreamJob> = spec
-            .iter()
-            .enumerate()
-            .map(|(i, &(arrival, t1))| StreamJob {
-                curve: SpeedupCurve::Constant(t1),
-                arrival,
-                user: (i % 2) as i64,
-            })
-            .collect();
-        let arriving: Vec<ArrivingJob> = spec
-            .iter()
-            .map(|&(arrival, t1)| ArrivingJob {
-                curve: SpeedupCurve::Constant(t1),
-                arrival,
-            })
-            .collect();
-        let users: Vec<i64> = (0..spec.len()).map(|i| (i % 2) as i64).collect();
-        let s = solver();
-        let epoch = run_epochs_solver(&arriving, 2, s.as_ref()).unwrap();
-        let obs = observations_from_epochs(&arriving, &users, &epoch, 2);
-        let buffered = FairnessReport::from_observations(&obs);
-        let out =
-            run_stream(stream, 2, s.as_ref(), &StreamOptions::default(), |_, _| {}).unwrap();
-        assert_eq!(out.fairness.max_stretch, buffered.max_stretch);
-        assert_eq!(out.fairness.mean_stretch, buffered.mean_stretch);
-        assert_eq!(out.fairness.users.len(), buffered.users.len());
-        for (a, b) in out.fairness.users.iter().zip(&buffered.users) {
-            assert_eq!(a.user, b.user);
-            assert_eq!(a.weighted_flow, b.weighted_flow);
-        }
     }
 }

@@ -88,7 +88,7 @@ impl Default for SynthesisParams {
 
 /// The admission policy for degenerate SWF records — the single place
 /// where raw-trace pathologies are clamped or rejected before anything
-/// reaches curve synthesis or `TraceReplay`:
+/// reaches curve synthesis or the simulator's arrival stream:
 ///
 /// * **rejected**: records that never ran (`run_time ≤ 0`) or carry no
 ///   positive processor count at all (`allocated_procs ≤ 0` *and*
@@ -297,15 +297,16 @@ pub fn synthesize_stream_tagged(
     params: &SynthesisParams,
     max_jobs: Option<usize>,
 ) -> Vec<(Time, SpeedupCurve, i64)> {
+    let kept = || admissible_records(trace).take(max_jobs.unwrap_or(usize::MAX));
     // Origin of the replay timeline: the earliest *clamped* submit among
-    // admitted records, so negative submits (rejected by the admission
-    // policy's clamp) cannot drag every other arrival later.
-    let origin = admissible_records(trace)
+    // the records kept, so negative submits (rejected by the admission
+    // policy's clamp) cannot drag every other arrival later, and a
+    // truncated out-of-order trace still starts at zero.
+    let origin = kept()
         .map(admit_submit)
         .min_by(|a, b| a.total_cmp(b))
         .unwrap_or(0.0);
-    let mut out: Vec<(Time, SpeedupCurve, i64)> = admissible_records(trace)
-        .take(max_jobs.unwrap_or(usize::MAX))
+    let mut out: Vec<(Time, SpeedupCurve, i64)> = kept()
         .enumerate()
         .map(|(i, rec)| {
             let arrival = ((admit_submit(rec) - origin).max(0.0)
@@ -561,6 +562,10 @@ mod tests {
         assert_eq!(s[0].0, 0); // first submission normalized to zero
         assert!(s.windows(2).all(|w| w[0].0 <= w[1].0));
         assert_eq!(s.last().unwrap().0, 910_000); // ticks: 910 s × 1000
+
+        // Truncation keeps file order; the kept prefix starts at zero.
+        let s = synthesize_stream(&t, 32, &SynthesisParams::default(), Some(1));
+        assert_eq!(s.iter().map(|&(a, _)| a).collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]

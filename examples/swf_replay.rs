@@ -6,7 +6,10 @@
 //! Run with: `cargo run --release --example swf_replay`
 
 use moldable::prelude::*;
-use moldable::sim::{clairvoyant_lower_bound, run_epochs, TraceReplay};
+use moldable::sched::solver::solver_by_name;
+use moldable::sim::{
+    clairvoyant_lower_bound, push_epoch_row, run_stream, StreamJob, StreamOptions,
+};
 use moldable::workloads::{FitModel, SwfSource, SwfTrace, SynthesisParams, WorkloadSource};
 
 fn main() {
@@ -65,23 +68,37 @@ fn main() {
         res.schedule.makespan(&inst)
     );
 
-    // Online: replay the recorded submit times through the epoch scheme.
-    let replay = TraceReplay::new(source.arrival_stream());
-    let out = run_epochs(replay.stream(), m, &algo, &eps).expect("replay streams are sorted");
-    let lb = clairvoyant_lower_bound(replay.stream(), m);
+    // Online: replay the recorded submit times through the epoch scheme
+    // (the stream comes sorted, with the first arrival at time zero).
+    let stream: Vec<StreamJob> = source
+        .arrival_stream()
+        .into_iter()
+        .map(|(arrival, curve)| StreamJob::untagged(curve, arrival))
+        .collect();
+    let lb = clairvoyant_lower_bound(&stream, m);
+    let planner = solver_by_name("linear", &eps).expect("registry has linear");
+    let mut epochs = Vec::new();
+    let out = run_stream(
+        stream,
+        m,
+        planner.as_ref(),
+        &StreamOptions::default(),
+        |_, o| push_epoch_row(&mut epochs, o),
+    )
+    .expect("replay streams are sorted");
     println!("\nonline replay (recorded submit times, epoch batching):");
-    println!("  epochs   : {}", out.epochs.len());
-    for e in out.epochs.iter().take(6) {
+    println!("  epochs   : {}", out.epochs);
+    for e in epochs.iter().take(6) {
         println!(
             "    epoch {:>2}: {:>3} jobs  [{:>10.0}, {:>10.0})",
             e.index,
-            e.jobs.len(),
+            e.jobs,
             e.start.to_f64(),
             e.end.to_f64()
         );
     }
-    if out.epochs.len() > 6 {
-        println!("    … {} more epochs", out.epochs.len() - 6);
+    if epochs.len() > 6 {
+        println!("    … {} more epochs", epochs.len() - 6);
     }
     println!("  makespan : {}", out.makespan);
     println!("  clairvoyant lower bound: {lb}");

@@ -445,11 +445,10 @@ fn stream_fragmentation_json(frag: &moldable::sim::StreamFragmentation) -> Value
     })
 }
 
-/// `simulate --model lublin` / `simulate --engine event`: drive a lazily
-/// generated or trace-backed arrival stream through the streaming
-/// event-driven engine (or, with `--engine epoch`, the batch epoch
-/// scheme for cross-checking). Metrics are computed online; no per-job
-/// data is buffered on the `event` path.
+/// `simulate --model lublin` / `simulate --engine event|epoch`: drive a
+/// lazily generated or trace-backed arrival stream through the streaming
+/// engine, with bounded batches (`event`) or the plain epoch discipline
+/// (`epoch`). Metrics are computed online; no per-job data is buffered.
 fn cmd_simulate_stream(args: &[String]) -> Result<(), Failure> {
     let eps = parse_eps(args)?;
     let (algo_name, solver) = online_solver(args, &eps)?;
@@ -516,8 +515,9 @@ fn cmd_simulate_stream(args: &[String]) -> Result<(), Failure> {
     let m = source.machine_count();
     let label = source.label();
 
-    let started = std::time::Instant::now();
-    let report = match engine.as_str() {
+    // `--engine epoch` is the plain epoch discipline: unbounded batches,
+    // FIFO, no lowering.
+    let opts = match engine.as_str() {
         "event" => {
             let max_batch = match flag(args, "--max-batch") {
                 Some(s) => match s.parse::<usize>().map_err(|_| "bad --max-batch")? {
@@ -527,52 +527,12 @@ fn cmd_simulate_stream(args: &[String]) -> Result<(), Failure> {
                 None => Some(8192),
             };
             let (topology, policy) = stream_topology(args, m)?;
-            let fairshare = stream_fairshare(args)?;
-            let opts = moldable::sim::StreamOptions {
+            moldable::sim::StreamOptions {
                 max_batch,
                 topology,
                 policy,
-                fairshare: fairshare.clone(),
-            };
-            let jobs =
-                source
-                    .stream_iter()
-                    .map(|(arrival, curve, user)| moldable::sim::StreamJob {
-                        curve,
-                        arrival,
-                        user,
-                    });
-            let out = moldable::sim::run_stream(jobs, m, solver.as_ref(), &opts, |_, _| {})
-                .map_err(|e| e.to_string())?;
-            let mut report = json!({
-                "source": label,
-                "engine": "event",
-                "m": m,
-                "algo": algo_name,
-                "jobs": out.jobs,
-                "epochs": out.epochs,
-                "max_batch": max_batch,
-                "makespan": out.makespan.to_f64(),
-                "peak_pending": out.peak_pending,
-                "wall_seconds": started.elapsed().as_secs_f64(),
-                "fairness": fairness_json(&out.fairness, report_users),
-            });
-            if let Some(frag) = &out.fragmentation {
-                push_field(
-                    &mut report,
-                    "fragmentation",
-                    stream_fragmentation_json(frag),
-                );
+                fairshare: stream_fairshare(args)?,
             }
-            if let Some(fs) = &fairshare {
-                // Additive: `--fairshare off` reports stay byte-identical.
-                push_field(
-                    &mut report,
-                    "fairshare",
-                    json!({ "half_life": fs.half_life }),
-                );
-            }
-            report
         }
         "epoch" => {
             if flag(args, "--topology").is_some() {
@@ -586,67 +546,113 @@ fn cmd_simulate_stream(args: &[String]) -> Result<(), Failure> {
                 // cross-check look like an engine divergence.
                 return Err("--max-batch only applies to --engine event".into());
             }
-            let tagged: Vec<(u64, moldable::core::SpeedupCurve, i64)> =
-                source.stream_iter().collect();
-            let users: Vec<i64> = tagged.iter().map(|&(_, _, u)| u).collect();
-            let stream: Vec<moldable::sim::ArrivingJob> = tagged
-                .into_iter()
-                .map(|(arrival, curve, _)| moldable::sim::ArrivingJob { curve, arrival })
-                .collect();
-            let out = moldable::sim::run_epochs_solver(&stream, m, solver.as_ref())
-                .map_err(|e| e.to_string())?;
-            let obs = moldable::sim::observations_from_epochs(&stream, &users, &out, m);
-            let fairness = moldable::sim::FairnessReport::from_observations(&obs);
-            json!({
-                "source": label,
-                "engine": "epoch",
-                "m": m,
-                "algo": algo_name,
-                "jobs": stream.len(),
-                "epochs": out.epochs.len(),
-                "makespan": out.makespan.to_f64(),
-                "wall_seconds": started.elapsed().as_secs_f64(),
-                "fairness": fairness_json(&fairness, report_users),
-            })
+            moldable::sim::StreamOptions::default()
         }
         other => return Err(format!("unknown --engine `{other}` (event|epoch)").into()),
+    };
+
+    let started = std::time::Instant::now();
+    let out = moldable::sim::run_stream(
+        stream_jobs(source.as_ref()),
+        m,
+        solver.as_ref(),
+        &opts,
+        |_, _| {},
+    )
+    .map_err(|e| e.to_string())?;
+    let report = if engine == "epoch" {
+        json!({
+            "source": label,
+            "engine": "epoch",
+            "m": m,
+            "algo": algo_name,
+            "jobs": out.jobs,
+            "epochs": out.epochs,
+            "makespan": out.makespan.to_f64(),
+            "wall_seconds": started.elapsed().as_secs_f64(),
+            "fairness": fairness_json(&out.fairness, report_users),
+        })
+    } else {
+        let mut report = json!({
+            "source": label,
+            "engine": "event",
+            "m": m,
+            "algo": algo_name,
+            "jobs": out.jobs,
+            "epochs": out.epochs,
+            "max_batch": opts.max_batch,
+            "makespan": out.makespan.to_f64(),
+            "peak_pending": out.peak_pending,
+            "wall_seconds": started.elapsed().as_secs_f64(),
+            "fairness": fairness_json(&out.fairness, report_users),
+        });
+        if let Some(frag) = &out.fragmentation {
+            push_field(
+                &mut report,
+                "fragmentation",
+                stream_fragmentation_json(frag),
+            );
+        }
+        if let Some(fs) = &opts.fairshare {
+            // Additive: `--fairshare off` reports stay byte-identical.
+            push_field(
+                &mut report,
+                "fairshare",
+                json!({ "half_life": fs.half_life }),
+            );
+        }
+        report
     };
     println!("{}", serde_json::to_string_pretty(&report).unwrap());
     Ok(())
 }
 
+/// A workload source's `(arrival, curve, user)` stream as engine jobs.
+fn stream_jobs(
+    source: &dyn WorkloadSource,
+) -> impl Iterator<Item = moldable::sim::StreamJob> + '_ {
+    source
+        .stream_iter()
+        .map(|(arrival, curve, user)| moldable::sim::StreamJob {
+            curve,
+            arrival,
+            user,
+        })
+}
+
 /// `simulate --trace`: replay an SWF trace's arrival stream through the
-/// epoch-based online scheme and report what an operator would see.
+/// epoch discipline (unbounded batches) and report what an operator
+/// would see, epoch by epoch.
 fn cmd_simulate_trace(args: &[String]) -> Result<(), Failure> {
     let source = swf_source(args)?;
     let m = source.machine_count();
     let eps = parse_eps(args)?;
     let (algo_name, solver) = online_solver(args, &eps)?;
-    // Tagged stream: arrivals aligned with SWF user ids for fairness.
-    let tagged = source.tagged_stream();
-    let users: Vec<i64> = tagged.iter().map(|&(_, _, u)| u).collect();
-    let replay =
-        moldable::sim::TraceReplay::new(tagged.into_iter().map(|(a, c, _)| (a, c)).collect());
-    let out = moldable::sim::run_epochs_solver(replay.stream(), m, solver.as_ref())
-        .map_err(|e| e.to_string())?;
-    let lb = moldable::sim::clairvoyant_lower_bound(replay.stream(), m);
-    let obs = moldable::sim::observations_from_epochs(replay.stream(), &users, &out, m);
-    let fairness = moldable::sim::FairnessReport::from_observations(&obs);
+    let stream: Vec<moldable::sim::StreamJob> = stream_jobs(&source).collect();
+    let lb = moldable::sim::clairvoyant_lower_bound(&stream, m);
+    let mut epochs = Vec::new();
+    let out = moldable::sim::run_stream(
+        stream,
+        m,
+        solver.as_ref(),
+        &moldable::sim::StreamOptions::default(),
+        |_, o| moldable::sim::push_epoch_row(&mut epochs, o),
+    )
+    .map_err(|e| e.to_string())?;
     let report = json!({
         "source": source.label(),
         "m": m,
-        "jobs": replay.len(),
+        "jobs": out.jobs,
         "algo": algo_name,
-        "epochs": out.epochs.len(),
+        "epochs": out.epochs,
         "makespan": out.makespan.to_f64(),
         "clairvoyant_lower_bound": lb.to_f64(),
-        "fairness": fairness_json(&fairness, usize::MAX),
-        "epoch_table": out
-            .epochs
+        "fairness": fairness_json(&out.fairness, usize::MAX),
+        "epoch_table": epochs
             .iter()
             .map(|e| json!({
                 "index": e.index,
-                "jobs": e.jobs.len(),
+                "jobs": e.jobs,
                 "start": e.start.to_f64(),
                 "end": e.end.to_f64(),
             }))
@@ -657,9 +663,10 @@ fn cmd_simulate_trace(args: &[String]) -> Result<(), Failure> {
 }
 
 fn cmd_simulate(args: &[String]) -> Result<(), Failure> {
-    // Streaming paths: the Lublin–Feitelson model, any source driven
+    // Engine reports: the Lublin–Feitelson model, any source driven
     // through an explicit --engine choice, or a topology-aware replay
-    // (only the streaming engine lowers placements).
+    // (only the bounded `event` report carries fragmentation). A bare
+    // --trace gets the epoch-table report instead.
     if flag(args, "--model").as_deref() == Some("lublin")
         || flag(args, "--engine").is_some()
         || flag(args, "--topology").is_some()

@@ -10,7 +10,9 @@
 //!
 //! The real binary runs against [`App::respond`] on the same request.
 //! The file also pins `moldable schedule` stdout byte for byte for six
-//! algorithms (goldens under `tests/data/schedule/`).
+//! algorithms (goldens under `tests/data/schedule/`), and `moldable
+//! simulate` stdout on the bundled SWF trace (goldens under
+//! `tests/data/simulate/`).
 
 use moldable::svc::http::Request;
 use moldable::svc::{App, AppConfig};
@@ -397,5 +399,47 @@ fn schedule_accepts_every_registry_name() {
         let envelope: Value =
             serde_json::from_str(std::str::from_utf8(&out.stderr).unwrap().trim()).unwrap();
         assert_eq!(envelope["error"]["kind"].as_str(), Some(kind), "{algo}");
+    }
+}
+
+fn simulate_data(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/data/simulate")
+        .join(name)
+}
+
+#[test]
+fn simulate_output_is_pinned() {
+    let trace = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data/sample.swf");
+    for (golden, engine) in [("trace.json", None), ("engine_epoch.json", Some("epoch"))] {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_moldable"));
+        cmd.arg("simulate");
+        if let Some(engine) = engine {
+            cmd.args(["--engine", engine]);
+        }
+        let out = cmd
+            .arg("--trace")
+            .arg(&trace)
+            .args(["--max-jobs", "64"])
+            .output()
+            .expect("run the moldable binary");
+        assert!(
+            out.status.success(),
+            "{golden}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        // `wall_seconds` is the report's one timing field; every other
+        // byte is pinned.
+        let stdout: String = String::from_utf8(out.stdout)
+            .expect("reports are UTF-8")
+            .lines()
+            .filter(|line| !line.starts_with("  \"wall_seconds\": "))
+            .map(|line| format!("{line}\n"))
+            .collect();
+        let pinned = std::fs::read_to_string(simulate_data(golden)).unwrap();
+        assert!(
+            stdout == pinned,
+            "{golden}: simulate output drifted:\n{stdout}"
+        );
     }
 }

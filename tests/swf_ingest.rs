@@ -5,7 +5,10 @@
 use moldable::core::io::InstanceSpec;
 use moldable::core::monotone::verify_monotone;
 use moldable::prelude::*;
-use moldable::sim::{clairvoyant_lower_bound, run_epochs, TraceReplay};
+use moldable::sched::solver::solver_by_name;
+use moldable::sim::{
+    clairvoyant_lower_bound, push_epoch_row, run_stream, StreamJob, StreamOptions,
+};
 use moldable::workloads::{FitModel, SwfSource, SwfTrace, SynthesisParams, WorkloadSource};
 
 const TRACE_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/sample.swf");
@@ -55,7 +58,7 @@ fn swf_ingest_admission_policy_pins_degenerate_rows() {
     // The truncated record (job 151) is admitted through its allocation.
     let truncated = &trace.jobs[150];
     assert_eq!(admit_procs(truncated), Some(8));
-    // Every admitted record reaches TraceReplay with a non-negative,
+    // Every admitted record reaches the replay stream with a non-negative,
     // sorted arrival and a positive processor count.
     for rec in admissible_records(&trace) {
         assert!(admit_procs(rec).unwrap() >= 1);
@@ -146,18 +149,32 @@ fn swf_ingest_replay_runs_the_online_pipeline() {
     let source = SwfSource::new(bundled_trace(), None, SynthesisParams::default())
         .unwrap()
         .with_max_jobs(64);
-    let eps = Ratio::new(1, 4);
-    let replay = TraceReplay::new(source.arrival_stream());
-    assert_eq!(replay.len(), 64);
-    let planner = ImprovedDual::new_linear(eps);
-    let out = run_epochs(replay.stream(), source.machine_count(), &planner, &eps).unwrap();
-    let lb = clairvoyant_lower_bound(replay.stream(), source.machine_count());
+    let m = source.machine_count();
+    let stream: Vec<StreamJob> = source
+        .arrival_stream()
+        .into_iter()
+        .map(|(arrival, curve)| StreamJob::untagged(curve, arrival))
+        .collect();
+    assert_eq!(stream.len(), 64);
+    let lb = clairvoyant_lower_bound(&stream, m);
+    let planner = solver_by_name("linear", &Ratio::new(1, 4)).unwrap();
+    let mut epochs = Vec::new();
+    let out = run_stream(
+        stream,
+        m,
+        planner.as_ref(),
+        &StreamOptions::default(),
+        |_, o| push_epoch_row(&mut epochs, o),
+    )
+    .unwrap();
+    assert_eq!(out.jobs, 64);
     assert!(out.makespan >= lb);
     // Epochs tile the timeline without overlap.
-    for w in out.epochs.windows(2) {
+    assert_eq!(epochs.len() as u64, out.epochs);
+    for w in epochs.windows(2) {
         assert!(w[0].end <= w[1].start);
     }
-    assert_eq!(out.epochs.iter().map(|e| e.jobs.len()).sum::<usize>(), 64);
+    assert_eq!(epochs.iter().map(|e| e.jobs).sum::<usize>(), 64);
 }
 
 #[test]
